@@ -61,10 +61,8 @@ from .witness import (
     witness_from_samples,
 )
 from .scan import (
-    CoincidenceRecord,
     PartitionTree,
     default_threshold,
-    end_to_end_witness,
     scan_pair,
     simulate_adaptive_scan,
     tree_to_linear_histograms,

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .entropy import gaussian_differential_entropy
 from .report import EntanglementReport, json_dumps
-from .scan import default_threshold, scan_pair
+from .scan import MAX_TREE_DEPTH, scan_pair
 from .spdc import (
     ConfigError,
     gaussian_fit_widths,
@@ -164,12 +164,11 @@ def _cmd_rate(args, parser) -> int:
 
 def _cmd_simulate(args, parser) -> int:
     s = _state_from_args(args, parser)
-    threshold = args.threshold if args.threshold is not None else default_threshold(args.samples)
     tree_x, tree_k, report = scan_pair(
         s,
         SPDC_COEFFICIENTS,
         n_samples=args.samples,
-        threshold=threshold,
+        threshold=args.threshold,
         max_depth=args.depth,
         seed=args.seed,
     )
@@ -244,7 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-w", type=_positive_float, help="state width, m (default: same as --sigma-v)")
     p.add_argument("-n", "--samples", type=_positive_int, default=100_000, help="triplets per basis")
     p.add_argument("--threshold", type=_positive_int, help="cell refinement count (default: max(16, n/4096))")
-    p.add_argument("--depth", type=_positive_int, default=8, help="maximum refinement depth")
+    p.add_argument(
+        "--depth",
+        type=int,
+        choices=range(1, MAX_TREE_DEPTH + 1),
+        default=8,
+        metavar="DEPTH",
+        help=f"maximum refinement depth, 1 to {MAX_TREE_DEPTH}",
+    )
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--out", help="output prefix: writes PREFIX.json, PREFIX_position.csv, PREFIX_momentum.csv")
     p.set_defaults(func=_cmd_simulate)

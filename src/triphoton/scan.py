@@ -31,39 +31,44 @@ from .witness import (
 
 _BASES = ("position", "momentum")
 _BOX_WIDTHS = 6.0  # box half-side in units of the largest marginal width
-_MAX_TREE_DEPTH = 20  # 3 bits per level in a signed 64-bit interleaved code
+MAX_TREE_DEPTH = 20  # 3 bits per level in a signed 64-bit interleaved code
 _COARSE_MASS_EXCLUDED = 0.01  # tail counts allowed coarser than the bin width
 
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
-    """One leaf cell: octant-digit path from the root, its count, the basis."""
-
-    path: str
-    count: int
-    basis: str
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"negative count {self.count}")
-        if self.basis not in _BASES:
-            raise ValueError(f"basis must be one of {_BASES}, got {self.basis!r}")
-        if not all(c in "01234567" for c in self.path):
-            raise ValueError(f"path must be octant digits 0-7, got {self.path!r}")
+# Magic-bits Morton masks (libmorton's 64-bit split-by-3): spreading runs
+# down the table, compacting runs back up it.  21 bits per axis fit.
+_MORTON_MASKS = (
+    0x1FFFFF,
+    0x1F00000000FFFF,
+    0x1F0000FF0000FF,
+    0x100F00F00F00F00F,
+    0x10C30C30C30C30C3,
+    0x1249249249249249,
+)
+_MORTON_SHIFTS = (32, 16, 8, 4, 2)
 
 
-def _spread_bits(g: np.ndarray, depth: int, offset: int) -> np.ndarray:
-    code = np.zeros(g.shape, dtype=np.int64)
-    for b in range(depth):
-        code |= ((g >> b) & 1) << (3 * b + offset)
-    return code
-
-
-def _axis_index(codes: np.ndarray, depth: int, offset: int) -> np.ndarray:
-    g = np.zeros(codes.shape, dtype=np.int64)
-    for b in range(depth):
-        g |= ((codes >> (3 * b + offset)) & 1) << b
+def _split_by_3(g: np.ndarray) -> np.ndarray:
+    """Spread the bits of each integer so bit b lands on bit 3b."""
+    g = g & _MORTON_MASKS[0]
+    for shift, mask in zip(_MORTON_SHIFTS, _MORTON_MASKS[1:]):
+        g |= g << shift
+        g &= mask
     return g
+
+
+def _compact_by_3(c: np.ndarray) -> np.ndarray:
+    """Inverse of _split_by_3: gather bits 0, 3, 6, ... into bits 0, 1, 2, ..."""
+    c = c & _MORTON_MASKS[-1]
+    for shift, mask in zip(reversed(_MORTON_SHIFTS), reversed(_MORTON_MASKS[:-1])):
+        c ^= c >> shift
+        c &= mask
+    return c
+
+
+def _octal_path(code: int, depth: int) -> str:
+    """Octant-digit path from the root of the depth-`depth` cell `code`."""
+    return format(code, f"0{depth}o") if depth else ""
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,11 @@ class PartitionTree:
     """Octree of coincidence counts over the cube [-B, B]^3.
 
     Cells are stored flat: `codes[i]` is the interleaved (x, y, z) cell index
-    at `depths[i]` levels, `counts[i]` the samples inside, `is_leaf[i]` False
-    for cells that were split.  Children of a split cell are all present,
-    including empty ones, so the leaves tile the box exactly wherever
-    refinement occurred.
+    at `depths[i]` levels (3 bits per level, x highest), so its octal digits
+    are the octant path from the root.  `counts[i]` is the number of samples
+    inside and `is_leaf[i]` is False for cells that were split.  Children of
+    a split cell are all present, including empty ones, so the leaves tile
+    the box exactly wherever refinement occurred.
     """
 
     basis: str
@@ -104,44 +110,32 @@ class PartitionTree:
         return 2.0 * self.box_halfwidth / float(2**depth)
 
     def path_of(self, index: int) -> str:
-        d = int(self.depths[index])
-        code = int(self.codes[index])
-        return "".join(str((code >> (3 * (d - 1 - j))) & 7) for j in range(d))
+        return _octal_path(int(self.codes[index]), int(self.depths[index]))
 
     def leaf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(centers (n,3), sides (n,), counts (n,)) over all leaf cells."""
         sel = self.is_leaf
         codes, depths, counts = self.codes[sel], self.depths[sel], self.counts[sel]
-        centers = np.empty((codes.size, 3))
         sides = 2.0 * self.box_halfwidth / np.exp2(depths.astype(float))
-        for d in np.unique(depths):
-            m = depths == d
-            g = np.stack(
-                [_axis_index(codes[m], int(d), off) for off in (2, 1, 0)], axis=1
-            )
-            centers[m] = -self.box_halfwidth + (g + 0.5) * self.cell_side(int(d))
+        g = _compact_by_3(np.stack([codes >> 2, codes >> 1, codes], axis=1))
+        centers = -self.box_halfwidth + (g + 0.5) * sides[:, None]
         return centers, sides, counts
 
-    def records(self) -> list[CoincidenceRecord]:
-        """Leaf records in depth-first path order."""
-        recs = [
-            CoincidenceRecord(self.path_of(i), int(self.counts[i]), self.basis)
-            for i in np.flatnonzero(self.is_leaf)
-        ]
-        recs.sort(key=lambda r: r.path)
-        return recs
-
     def record_lines(self) -> list[str]:
-        """Export form: one `path,count` line per leaf."""
-        return [f"{r.path},{r.count}" for r in self.records()]
+        """Export form: one `path,count` line per leaf, in path order.
 
-
-def _run_length(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if sorted_vals.size == 0:
-        return sorted_vals, np.zeros(0, dtype=np.int64)
-    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    lengths = np.diff(np.r_[starts, sorted_vals.size])
-    return sorted_vals[starts], lengths.astype(np.int64)
+        Leaves are disjoint, so their codes aligned to max_depth are unique
+        and sort in the same order as their paths.
+        """
+        sel = self.is_leaf
+        codes, depths, counts = self.codes[sel], self.depths[sel], self.counts[sel]
+        order = np.argsort(codes << 3 * (self.max_depth - depths))
+        return [
+            f"{_octal_path(c, d)},{n}"
+            for c, d, n in zip(
+                codes[order].tolist(), depths[order].tolist(), counts[order].tolist()
+            )
+        ]
 
 
 def _build_tree(
@@ -149,34 +143,21 @@ def _build_tree(
 ) -> PartitionTree:
     n_total = values.shape[0]
     inside = np.all(np.abs(values) <= box_halfwidth, axis=1)
-    kept = values[inside]
-    n_dropped = n_total - kept.shape[0]
-
     n_grid = 2**max_depth
     side = 2.0 * box_halfwidth / n_grid
-    g = np.floor((kept + box_halfwidth) / side).astype(np.int64)
+    g = np.floor((values[inside] + box_halfwidth) / side).astype(np.int64)
     np.clip(g, 0, n_grid - 1, out=g)  # samples exactly on the +B faces
-    full = (
-        _spread_bits(g[:, 0], max_depth, 2)
-        | _spread_bits(g[:, 1], max_depth, 1)
-        | _spread_bits(g[:, 2], max_depth, 0)
-    )
+    n_kept = g.shape[0]
+    full = _split_by_3(g[:, 0]) << 2
+    full |= _split_by_3(g[:, 1]) << 1
+    full |= _split_by_3(g[:, 2])
     full.sort()
 
-    # occupied-cell count tables for every depth, finest first
-    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    u, c = _run_length(full)
-    tables[max_depth] = (u, c)
-    for d in range(max_depth - 1, 0, -1):
-        pu, starts = np.unique(u >> 3, return_index=True)
-        c = np.add.reduceat(c, starts) if pu.size else c[:0]
-        u = pu
-        tables[d] = (u, c)
-
-    # top-down: split any cell at or over threshold, keeping all 8 children
+    # top-down: split any cell at or over threshold, keeping all 8 children.
+    # Depth-d cell c holds the finest codes in [c << 3(D-d), (c+1) << 3(D-d)).
     chunk_depth, chunk_codes, chunk_counts, chunk_leaf = [], [], [], []
     cur_codes = np.zeros(1, dtype=np.int64)
-    cur_counts = np.array([kept.shape[0]], dtype=np.int64)
+    cur_counts = np.array([n_kept], dtype=np.int64)
     for d in range(max_depth + 1):
         refined = (cur_counts >= threshold) & (d < max_depth)
         chunk_depth.append(np.full(cur_codes.size, d, dtype=np.int64))
@@ -185,13 +166,10 @@ def _build_tree(
         chunk_leaf.append(~refined)
         if not refined.any():
             break
-        parents = cur_codes[refined]
-        cur_codes = (np.repeat(parents, 8) << 3) | np.tile(np.arange(8), parents.size)
-        u, c = tables[d + 1]
-        pos = np.searchsorted(u, cur_codes)
-        cur_counts = np.zeros(cur_codes.size, dtype=np.int64)
-        hit = (pos < u.size) & (u[np.minimum(pos, u.size - 1)] == cur_codes)
-        cur_counts[hit] = c[pos[hit]]
+        kids = (cur_codes[refined, None] << 3) + np.arange(9)
+        edges = np.searchsorted(full, kids << 3 * (max_depth - d - 1))
+        cur_counts = np.diff(edges).ravel()
+        cur_codes = kids[:, :8].ravel()
 
     return PartitionTree(
         basis=basis,
@@ -199,7 +177,7 @@ def _build_tree(
         max_depth=max_depth,
         threshold=threshold,
         n_samples=n_total,
-        n_dropped=int(n_dropped),
+        n_dropped=n_total - n_kept,
         depths=np.concatenate(chunk_depth),
         codes=np.concatenate(chunk_codes),
         counts=np.concatenate(chunk_counts),
@@ -231,8 +209,8 @@ def simulate_adaptive_scan(
         raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not 1 <= max_depth <= _MAX_TREE_DEPTH:
-        raise ValueError(f"max_depth must be in [1, {_MAX_TREE_DEPTH}], got {max_depth}")
+    if not 1 <= max_depth <= MAX_TREE_DEPTH:
+        raise ValueError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {max_depth}")
     if threshold is None:
         threshold = default_threshold(n_samples)
     if threshold < 1:
@@ -338,17 +316,3 @@ def scan_pair(
     )
     return tree_x, tree_k, report
 
-
-def end_to_end_witness(
-    s: TripleGaussianState,
-    coeffs: WitnessCoefficients = SPDC_COEFFICIENTS,
-    n_samples: int = 100_000,
-    threshold: int | None = None,
-    max_depth: int = 8,
-    seed: int = 0,
-    bootstrap_resamples: int = 64,
-) -> EntanglementReport:
-    """Full pipeline as scan_pair, returning just the witness report."""
-    return scan_pair(
-        s, coeffs, n_samples, threshold, max_depth, seed, bootstrap_resamples
-    )[2]

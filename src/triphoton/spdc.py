@@ -24,7 +24,7 @@ Geometry and conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,18 +115,13 @@ class SpdcConfig:
         if not np.isfinite(self.kappa0) or self.kappa0 == 0.0:
             raise ConfigError(f"kappa0 must be nonzero and finite, got {self.kappa0!r}")
         if self.qpm_order is not None:
-            if int(self.qpm_order) != self.qpm_order or self.qpm_order < 1:
+            if not float(self.qpm_order).is_integer() or self.qpm_order < 1:
                 raise ConfigError(f"qpm_order must be a positive integer, got {self.qpm_order!r}")
             object.__setattr__(self, "qpm_order", int(self.qpm_order))
         if self.qpm_period is not None and (
             not np.isfinite(self.qpm_period) or self.qpm_period <= 0.0
         ):
             raise ConfigError(f"qpm_period must be positive, got {self.qpm_period!r}")
-
-    def replace_sigma_p(self, sigma_p: float) -> "SpdcConfig":
-        from dataclasses import replace
-
-        return replace(self, sigma_p=sigma_p)
 
 
 def load_config(path: str | Path) -> SpdcConfig:
@@ -156,11 +151,6 @@ def load_config(path: str | Path) -> SpdcConfig:
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ConfigError(f"{path}: missing keys: {', '.join(missing)}")
-    if "qpm_order" in values:
-        order = values["qpm_order"]
-        if order != int(order):
-            raise ConfigError(f"{path}: qpm_order must be an integer, got {order!r}")
-        values["qpm_order"] = int(order)
     return SpdcConfig(**values)
 
 
@@ -235,7 +225,7 @@ def witness_sweep(c: SpdcConfig, sigma_p_values) -> list[tuple[float, float, flo
     for sp in np.asarray(sigma_p_values, dtype=float):
         if not np.isfinite(sp) or sp <= 0.0:
             raise ValueError(f"sweep sigma_p values must be positive, got {sp!r}")
-        ci = c.replace_sigma_p(float(sp))
+        ci = replace(c, sigma_p=float(sp))
         rows.append((float(sp), closed_form_witness(ci), exact_e3f(gaussian_fit_widths(ci))))
     return rows
 
@@ -250,8 +240,6 @@ def triplet_rate(c: SpdcConfig) -> float:
     with omega_p0 = 2 pi c / lambda_p.  Quasi-phase-matching penalties are
     not applied here; combine with qpm_penalty / index_modulation_penalty.
     """
-    if c.kappa0 == 0.0:
-        raise ValueError("kappa0 = 0: rate formula diverges")
     omega_p0 = 2.0 * math.pi * C_LIGHT / c.lambda_p
     prefactor = HBAR / (2592.0 * math.sqrt(3.0) * math.pi**2 * EPS0**2 * C_LIGHT**4)
     index_factor = (c.ng_1 * c.ng_2 * c.ng_3 * c.ng_p) / (

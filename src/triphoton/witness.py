@@ -414,17 +414,26 @@ def _load_samples(path: str | Path, header: tuple[str, str, str], kind: str) -> 
             raise ValueError(
                 f"{path}: expected header {','.join(header)!r}, got {first!r}"
             )
-        try:
-            rows = np.array([[float(c) for c in row] for row in reader if row])
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric sample value ({exc})") from exc
-    if rows.size == 0:
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}: {row!r}"
+                )
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: non-numeric sample value ({exc})"
+                ) from exc
+    if not rows:
         raise ValueError(f"{path}: no sample rows")
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 columns, got shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
+    values = np.array(rows)
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: non-finite sample values")
-    return SampleSet(values=rows, kind=kind)
+    return SampleSet(values=values, kind=kind)
 
 
 def load_position_samples(path: str | Path) -> SampleSet:

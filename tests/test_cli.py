@@ -7,6 +7,7 @@ import pytest
 
 from triphoton.cli import main
 from triphoton.report import EntanglementReport
+from triphoton.scan import MAX_TREE_DEPTH
 from triphoton.spdc import qpm_penalty
 from triphoton.states import TripleGaussianState, exact_e3f
 
@@ -282,6 +283,10 @@ def test_error_exit_codes(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "-n", "100"])
     assert exc.value.code == 2
+    for depth in ("0", str(MAX_TREE_DEPTH + 1)):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--sigma-u", "2", "--sigma-v", "1", "-n", "100", "--depth", depth])
+        assert exc.value.code == 2
     code, _, err = _run(
         capsys,
         [

@@ -8,9 +8,10 @@ import pytest
 
 from triphoton.entropy import Histogram1D, differential_entropy_from_histogram
 from triphoton.scan import (
-    CoincidenceRecord,
+    MAX_TREE_DEPTH,
+    _compact_by_3,
+    _split_by_3,
     default_threshold,
-    end_to_end_witness,
     scan_pair,
     simulate_adaptive_scan,
     tree_to_linear_histograms,
@@ -36,9 +37,7 @@ def test_scan_is_deterministic():
     s = TripleGaussianState(4.0, 1.0, 1.0)
     a = simulate_adaptive_scan(s, "position", 20_000, threshold=16, max_depth=6, seed=4)
     b = simulate_adaptive_scan(s, "position", 20_000, threshold=16, max_depth=6, seed=4)
-    ra, rb = a.records(), b.records()
-    assert [r.path for r in ra] == [r.path for r in rb]
-    assert [r.count for r in ra] == [r.count for r in rb]
+    assert a.record_lines() == b.record_lines()
     _, _, rep1 = scan_pair(s, n_samples=20_000, threshold=16, max_depth=6, seed=4)
     _, _, rep2 = scan_pair(s, n_samples=20_000, threshold=16, max_depth=6, seed=4)
     assert rep1.to_json() == rep2.to_json()
@@ -48,8 +47,7 @@ def test_root_stays_unsplit_below_threshold():
     s = TripleGaussianState(2.0, 1.0, 1.0)
     tree = simulate_adaptive_scan(s, "position", 100, threshold=1000, max_depth=6, seed=0)
     assert tree.n_cells == 1
-    recs = tree.records()
-    assert recs[0].path == ""
+    assert tree.record_lines() == [f",{tree.total_count}"]
     hist = tree_to_linear_histograms(tree, SPDC_COEFFICIENTS)
     # one occupied cell: linear extent is sum|eta| times the root side
     assert hist.bin_width == pytest.approx(2.0 * tree.cell_side(0), rel=1e-12)
@@ -92,17 +90,36 @@ def test_leaf_counts_and_drop_accounting():
 
 def test_cell_side_and_path_round_trip():
     s = TripleGaussianState(2.0, 1.0, 1.0)
-    tree = simulate_adaptive_scan(s, "position", 5000, threshold=100, max_depth=4, seed=3)
-    assert tree.cell_side(0) == pytest.approx(2.0 * tree.box_halfwidth)
-    assert tree.cell_side(3) == pytest.approx(2.0 * tree.box_halfwidth / 8.0)
-    for i in np.flatnonzero(tree.is_leaf):
-        path = tree.path_of(int(i))
-        assert set(path) <= set("01234567")
-        assert len(path) == int(tree.depths[i])
-        code = 0
-        for ch in path:
-            code = (code << 3) | int(ch)
-        assert code == int(tree.codes[i])
+    # the second tree splits every occupied cell down to the deepest codes
+    for n, threshold, max_depth in ((5000, 100, 4), (100, 1, MAX_TREE_DEPTH)):
+        tree = simulate_adaptive_scan(s, "position", n, threshold, max_depth, seed=3)
+        assert tree.cell_side(0) == pytest.approx(2.0 * tree.box_halfwidth)
+        assert tree.cell_side(3) == pytest.approx(2.0 * tree.box_halfwidth / 8.0)
+        assert int(tree.depths.max()) == max_depth
+        centers, _, _ = tree.leaf_table()
+        for row, i in enumerate(np.flatnonzero(tree.is_leaf)):
+            path = tree.path_of(int(i))
+            assert set(path) <= set("01234567")
+            assert len(path) == int(tree.depths[i])
+            code = 0
+            corner = np.zeros(3, dtype=np.int64)  # (x, y, z) cell index at this depth
+            for ch in path:
+                digit = int(ch)
+                code = (code << 3) | digit
+                corner = (corner << 1) | [(digit >> 2) & 1, (digit >> 1) & 1, digit & 1]
+            assert code == int(tree.codes[i])
+            walked = -tree.box_halfwidth + (corner + 0.5) * tree.cell_side(len(path))
+            assert centers[row].tolist() == walked.tolist()
+
+
+def test_morton_split_matches_bit_loop():
+    g = np.random.default_rng(0).integers(0, 2**21, size=1000)
+    g[:2] = (0, 2**21 - 1)
+    want = np.zeros_like(g)
+    for b in range(21):
+        want |= ((g >> b) & 1) << (3 * b)
+    assert np.array_equal(_split_by_3(g), want)
+    assert np.array_equal(_compact_by_3(want), g)
 
 
 def test_refinement_follows_the_correlation_diagonal():
@@ -194,8 +211,6 @@ def test_report_inputs_echo_and_end_to_end():
     assert rep.inputs["threshold"] == 20
     assert rep.inputs["max_depth"] == 6
     assert rep.inputs["seed"] == 12
-    direct = end_to_end_witness(s, n_samples=30_000, threshold=20, max_depth=6, seed=12)
-    assert direct.to_json() == rep.to_json()
 
 
 def test_record_lines_format():
@@ -210,12 +225,6 @@ def test_record_lines_format():
 
 
 def test_record_and_parameter_validation():
-    with pytest.raises(ValueError):
-        CoincidenceRecord(path="8", count=1, basis="position")
-    with pytest.raises(ValueError):
-        CoincidenceRecord(path="01", count=-1, basis="position")
-    with pytest.raises(ValueError):
-        CoincidenceRecord(path="01", count=1, basis="frequency")
     s = TripleGaussianState(2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         simulate_adaptive_scan(s, "frequency", 1000)
@@ -226,4 +235,4 @@ def test_record_and_parameter_validation():
     with pytest.raises(ValueError):
         simulate_adaptive_scan(s, "position", 1000, max_depth=0)
     with pytest.raises(ValueError):
-        simulate_adaptive_scan(s, "position", 1000, max_depth=21)
+        simulate_adaptive_scan(s, "position", 1000, max_depth=MAX_TREE_DEPTH + 1)

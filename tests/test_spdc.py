@@ -90,14 +90,14 @@ def test_index_modulation_penalty_reference():
 
 
 def test_witness_small_pump_limit():
-    cfg = load_config(FIG1).replace_sigma_p(1e-9)
+    cfg = replace(load_config(FIG1), sigma_p=1e-9)
     assert closed_form_witness(cfg) == pytest.approx(-1.52765754161, abs=1e-6)
 
 
 def test_witness_closed_form_matches_entropy_assembly():
     cfg = load_config(FIG1)
     for sp in (1e-6, 1e-5, 1e-4, 1e-3):
-        ci = cfg.replace_sigma_p(sp)
+        ci = replace(cfg, sigma_p=sp)
         fit_k = gaussian_fit_widths(ci)
         pos = to_momentum(fit_k)
         h_x = gaussian_differential_entropy(math.sqrt(1.5) * pos.sigma_v)
@@ -136,7 +136,7 @@ def test_momentum_amplitude_shape():
 
 def test_fitted_momentum_width_matches_amplitude_moment():
     # wide pump: the fitted width should track the amplitude's second moment
-    cfg = load_config(FIG1).replace_sigma_p(1.0e-4)
+    cfg = replace(load_config(FIG1), sigma_p=1.0e-4)
     fit = gaussian_fit_widths(cfg)
     sku, skv = fit.sigma_u, fit.sigma_v
     ku = np.linspace(-6 * sku, 6 * sku, 201)
@@ -185,6 +185,8 @@ def test_config_error_cases(tmp_path):
         _VALID.replace("kappa0 = 2.79e-26", "kappa0 = 0"),
         _VALID.replace("sigma_p = 1e-5", "sigma_p = -1e-5"),
         _VALID + "qpm_order = 1.5\n",
+        _VALID + "qpm_order = inf\n",
+        _VALID + "qpm_order = nan\n",
         "just a line without equals\n" + _VALID,
     ]
     for text in cases:
@@ -207,7 +209,7 @@ def test_rate_scalings():
     base = triplet_rate(cfg)
     assert triplet_rate(replace(cfg, pump_power=2 * cfg.pump_power)) == pytest.approx(2 * base, rel=1e-12)
     assert triplet_rate(replace(cfg, L_z=3 * cfg.L_z)) == pytest.approx(3 * base, rel=1e-12)
-    assert triplet_rate(cfg.replace_sigma_p(2 * cfg.sigma_p)) == pytest.approx(base / 16, rel=1e-12)
+    assert triplet_rate(replace(cfg, sigma_p=2 * cfg.sigma_p)) == pytest.approx(base / 16, rel=1e-12)
     assert triplet_rate(replace(cfg, kappa0=-cfg.kappa0)) == pytest.approx(base, rel=1e-15)
 
 

@@ -301,5 +301,8 @@ def test_sample_csv_error_cases(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError):
             load_position_samples(p)
+    p.write_text("x1,x2,x3\n1,2,3\n4,5\n")
+    with pytest.raises(ValueError, match=r":3: expected 3 columns, got 2"):
+        load_position_samples(p)
     p.write_text("k1,k2,k3\n1,2,3\n")
     assert load_momentum_samples(p).kind == "momentum"
