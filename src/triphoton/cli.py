@@ -175,12 +175,22 @@ def _cmd_simulate(args, parser) -> int:
     if args.out is not None:
         prefix = Path(args.out)
         report_path = prefix.parent / f"{prefix.name}.json"
-        _atomic_write(report_path, report.to_json() + "\n")
-        for tree, tag in ((tree_x, "position"), (tree_k, "momentum")):
-            _atomic_write(
-                prefix.parent / f"{prefix.name}_{tag}.csv",
-                "\n".join(tree.record_lines()) + "\n",
-            )
+        # the report goes last, so a report on disk always sits beside the
+        # trees it describes; a failed write removes what this call wrote
+        outputs = [
+            (prefix.parent / f"{prefix.name}_{tag}.csv", "\n".join(tree.record_lines()) + "\n")
+            for tree, tag in ((tree_x, "position"), (tree_k, "momentum"))
+        ]
+        outputs.append((report_path, report.to_json() + "\n"))
+        written = []
+        try:
+            for path, text in outputs:
+                _atomic_write(path, text)
+                written.append(path)
+        except BaseException:
+            for path in written:
+                path.unlink()
+            raise
         print(f"wrote {report_path} and two tree files")
         print(
             f"witness {report.witness_gebits:.6f} gebits "

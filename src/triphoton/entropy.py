@@ -30,6 +30,22 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _renormalized(p: np.ndarray, axis) -> np.ndarray:
+    """p divided by its sums over axis, after checking that every PMF summed
+    there is finite, non-negative and sums to 1 within 1e-12."""
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
+    if np.any(p < 0.0):
+        raise ValueError("probabilities must be non-negative")
+    total = p.sum(axis=axis, keepdims=True)
+    off = np.abs(total - 1.0) > _SUM_TOL
+    if np.any(off):
+        raise ValueError(
+            f"probabilities sum to {total[off][0]!r}, not 1 within {_SUM_TOL}"
+        )
+    return p / total
+
+
 @dataclass(frozen=True)
 class DiscretePMF:
     """Joint probability mass function over 1 to 3 outcome axes.
@@ -51,14 +67,7 @@ class DiscretePMF:
             raise ValueError(f"axis cardinalities must be >= 1, got {shape}")
         if p.size != int(np.prod(shape)):
             raise ValueError(f"{p.size} probabilities do not fill shape {shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if np.any(p < 0.0):
-            raise ValueError("probabilities must be non-negative")
-        total = p.sum()
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1 within {_SUM_TOL}")
-        object.__setattr__(self, "probabilities", p / total)
+        object.__setattr__(self, "probabilities", _renormalized(p, axis=None))
         object.__setattr__(self, "shape", shape)
 
     @property
@@ -132,9 +141,23 @@ def mutual_information(pmf: DiscretePMF) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) for a two-axis PMF, in bits."""
     if pmf.n_axes != 2:
         raise ValueError("mutual information is defined here for exactly 2 axes")
-    ha = shannon_entropy(pmf.marginal((0,)))
-    hb = shannon_entropy(pmf.marginal((1,)))
-    return ha + hb - shannon_entropy(pmf)
+    return float(stacked_mutual_information(pmf.as_array()))
+
+
+def stacked_mutual_information(p: np.ndarray) -> np.ndarray:
+    """I(A:B) in bits of each two-axis PMF p[..., a, b] in a stack.
+
+    Each PMF is checked as DiscretePMF checks one (finite, non-negative,
+    sums to 1 within 1e-12; ValueError otherwise) and renormalised, and so
+    is each of its two marginals.
+    """
+    p = _renormalized(np.asarray(p, dtype=float), axis=(-2, -1))
+    pa = _renormalized(p.sum(axis=-1), axis=-1)
+    pb = _renormalized(p.sum(axis=-2), axis=-1)
+    h_a = -_xlog2x(pa).sum(axis=-1)
+    h_b = -_xlog2x(pb).sum(axis=-1)
+    h_ab = -_xlog2x(p).sum(axis=(-2, -1))
+    return h_a + h_b - h_ab
 
 
 def binary_entropy(lam: float) -> float:

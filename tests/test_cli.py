@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from triphoton import cli
 from triphoton.cli import main
 from triphoton.report import EntanglementReport
 from triphoton.scan import MAX_TREE_DEPTH
@@ -211,6 +212,25 @@ def test_simulate_is_deterministic(capsys, tmp_path):
         left = (tmp_path / "a").parent / f"a{suffix}"
         right = (tmp_path / "b").parent / f"b{suffix}"
         assert left.read_bytes() == right.read_bytes()
+
+
+def test_simulate_failed_write_leaves_no_files(capsys, tmp_path, monkeypatch):
+    real_write = cli._atomic_write
+    calls = []
+
+    def failing_second_write(path, text):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_write(path, text)
+
+    monkeypatch.setattr(cli, "_atomic_write", failing_second_write)
+    prefix = tmp_path / "run"
+    argv = ["simulate", "--sigma-u", "3", "--sigma-v", "1", "-n", "500", "--depth", "3"]
+    code, _, err = _run(capsys, argv + ["--out", str(prefix)])
+    assert code == 2 and "disk full" in err
+    assert len(calls) == 2
+    assert list(tmp_path.glob("run*")) == []
 
 
 def test_simulate_stdout_report(capsys):

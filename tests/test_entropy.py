@@ -14,6 +14,7 @@ from triphoton.entropy import (
     gaussian_differential_entropy,
     mutual_information,
     shannon_entropy,
+    stacked_mutual_information,
 )
 
 
@@ -95,6 +96,25 @@ def test_mutual_information_symmetric_under_swap():
     a = mutual_information(DiscretePMF(p.ravel(), (3, 4)))
     b = mutual_information(DiscretePMF(p.T.ravel(), (4, 3)))
     assert abs(a - b) < 1e-12
+
+
+def test_stacked_mutual_information_checks_each_pmf():
+    rng = np.random.default_rng(29)
+    stack = rng.dirichlet(np.ones(12), size=5).reshape(5, 3, 4)
+    got = stacked_mutual_information(stack)
+    pmfs = [DiscretePMF(p.ravel(), (3, 4)) for p in stack]
+    want = [
+        shannon_entropy(pmf.marginal((0,)))
+        + shannon_entropy(pmf.marginal((1,)))
+        - shannon_entropy(pmf)
+        for pmf in pmfs
+    ]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+    for bad in (np.nan, -0.1, 0.5):
+        broken = stack.copy()
+        broken[3, 0, 0] = bad
+        with pytest.raises(ValueError):
+            stacked_mutual_information(broken)
 
 
 def test_gaussian_entropy_reference_and_scaling():

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triphoton.entropy import DiscretePMF, gaussian_differential_entropy
+from triphoton import witness
+from triphoton.entropy import DiscretePMF, gaussian_differential_entropy, shannon_entropy
 from triphoton.states import (
     SampleSet,
     TripleGaussianState,
@@ -145,6 +148,8 @@ def test_optimizer_keeps_good_start():
         sampled_witness_objective(xs, ks, best)
         >= sampled_witness_objective(xs, ks, SPDC_COEFFICIENTS) - 1e-12
     )
+    # the search's result on this set, recorded before its entropies were memoised
+    assert best == WitnessCoefficients(eta=(1.0, -0.5, -0.5), beta=(1.0, 1.0, 1.0))
 
 
 def test_optimizer_never_returns_worse_than_start():
@@ -187,8 +192,9 @@ def test_optimizer_relabel_invariance():
 def test_optimizer_warns_on_degenerate_samples():
     flat_x = SampleSet(values=np.ones((64, 3)), kind="position")
     flat_k = SampleSet(values=np.ones((64, 3)), kind="momentum")
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) as record:
         out = optimize_coefficients(flat_x, flat_k)
+    assert len(record) == 1
     assert out == SPDC_COEFFICIENTS
 
 
@@ -265,6 +271,60 @@ def test_correlation_relation_bell_dimension():
     assert rep.max_mutual_information_bits <= 1.0 + 1e-9
     again = verify_correlation_relation(2, 300, 5)
     assert again.max_violation == rep.max_violation
+
+
+def _correlation_relation_one_trial_at_a_time(dim, trials, seed):
+    """Reference: (max violation, max mutual information), one state per step."""
+
+    def haar_unitary(rng):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(g)
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    rng = np.random.default_rng(seed)
+    max_violation, max_mi = -math.inf, 0.0
+    for _ in range(trials):
+        psi = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+        psi /= np.linalg.norm(psi)
+        m = psi.reshape(dim, dim)
+        evals = np.clip(np.linalg.eigvalsh(m @ m.conj().T).real, 0.0, 1.0)
+        nz = evals[evals > 1e-16]
+        ent_formation = float(-(nz * np.log2(nz)).sum())
+        u_a, u_b = haar_unitary(rng), haar_unitary(rng)
+        p = np.abs(u_a.conj().T @ m @ u_b.conj()) ** 2
+        pmf = DiscretePMF((p / p.sum()).ravel(), (dim, dim))
+        mi = (
+            shannon_entropy(pmf.marginal((0,)))
+            + shannon_entropy(pmf.marginal((1,)))
+            - shannon_entropy(pmf)
+        )
+        max_mi = max(max_mi, mi)
+        max_violation = max(max_violation, mi - ent_formation)
+    return max_violation, max_mi
+
+
+def test_correlation_relation_matches_one_trial_at_a_time(monkeypatch):
+    small = [(d, trials, 10 * d) for d in range(2, 9) for trials in (1, 37)]
+    block = witness._TRIAL_BLOCK
+    for dim, trials, seed in small + [(2, block + 1, 3), (8, block + 1, 4)]:
+        rep = verify_correlation_relation(dim, trials, seed)
+        violation, mi = _correlation_relation_one_trial_at_a_time(dim, trials, seed)
+        assert abs(rep.max_violation - violation) <= 1e-12
+        assert abs(rep.max_mutual_information_bits - mi) <= 1e-12
+    # each trial's numbers depend only on its own draws, not on the blocking
+    whole = [verify_correlation_relation(*case) for case in small]
+    monkeypatch.setattr(witness, "_TRIAL_BLOCK", 5)
+    assert [verify_correlation_relation(*case) for case in small] == whole
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 12),
+)
+def test_correlation_relation_holds_on_random_states(dim, seed, trials):
+    assert verify_correlation_relation(dim, trials, seed).max_violation <= 1e-9
 
 
 def test_correlation_relation_higher_dims_and_validation():
