@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entropy import gaussian_differential_entropy
-from .report import EntanglementReport, json_dumps
+from .report import json_dumps
 from .scan import MAX_TREE_DEPTH, scan_pair
 from .spdc import (
     ConfigError,
@@ -38,7 +37,7 @@ from .spdc import (
     witness_sweep,
 )
 from .states import TripleGaussianState, exact_e3f, to_momentum
-from .witness import SPDC_COEFFICIENTS, continuous_witness, verify_correlation_relation
+from .witness import SPDC_COEFFICIENTS, analytic_report, verify_correlation_relation
 
 
 def _positive_float(text: str) -> float:
@@ -87,32 +86,10 @@ def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     return TripleGaussianState(args.sigma_u, args.sigma_v, sigma_w)
 
 
-def _analytic_report(s: TripleGaussianState) -> EntanglementReport:
-    """Exact E3F plus the witness evaluated with exact Gaussian entropies."""
-    coeffs = SPDC_COEFFICIENTS
-    dual = to_momentum(s)
-    h_x = gaussian_differential_entropy(math.sqrt(1.5) * s.sigma_v)
-    h_k = gaussian_differential_entropy(math.sqrt(3.0) * dual.sigma_u)
-    return EntanglementReport(
-        inputs={
-            "sigma_u": s.sigma_u,
-            "sigma_v": s.sigma_v,
-            "sigma_w": s.sigma_w,
-            "eta": list(coeffs.eta),
-            "beta": list(coeffs.beta),
-        },
-        witness_gebits=continuous_witness(coeffs, h_x, h_k),
-        entropy_x_bits=h_x,
-        entropy_k_bits=h_k,
-        exact_e3f_gebits=exact_e3f(s),
-    )
-
-
 def _cmd_e3f(args, parser) -> int:
-    sigma_w = args.sigma_w if args.sigma_w is not None else args.sigma_v
-    s = TripleGaussianState(args.sigma_u, args.sigma_v, sigma_w)
+    s = _state_from_args(args, parser)
     if args.json:
-        print(_analytic_report(s).to_json())
+        print(analytic_report(s).to_json())
     else:
         print(format(exact_e3f(s), ".12g"))
     return 0
@@ -122,10 +99,7 @@ def _cmd_sweep(args, parser) -> int:
     cfg = load_config(args.config)
     if args.sigma_p_max < args.sigma_p_min:
         parser.error("--sigma-p-max must be >= --sigma-p-min")
-    if args.points == 1:
-        grid = np.array([args.sigma_p_min])
-    else:
-        grid = np.geomspace(args.sigma_p_min, args.sigma_p_max, args.points)
+    grid = np.geomspace(args.sigma_p_min, args.sigma_p_max, args.points)
     rows = witness_sweep(cfg, grid)
     lines = ["sigma_p_m,witness_gebits,exact_gebits"]
     for sigma_p, witness, exact in rows:
@@ -231,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-v", type=_positive_float, required=True, help="width along the first difference axis, m")
     p.add_argument("--sigma-w", type=_positive_float, help="width along the second difference axis (default: same as --sigma-v)")
     p.add_argument("--json", action="store_true", help="emit a full JSON report instead of the bare number")
-    p.set_defaults(func=_cmd_e3f)
+    p.set_defaults(func=_cmd_e3f, config=None)
 
     p = sub.add_parser("sweep", help="witness and exact value vs pump width (CSV)")
     p.add_argument("--config", required=True, help="material/pump config file")

@@ -114,6 +114,16 @@ class Histogram1D:
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", c.astype(np.int64))
 
+    @classmethod
+    def of(cls, values: np.ndarray, bin_width: float, weights=None) -> "Histogram1D":
+        """Histogram of values at bin_width, with bin 0 centred on the smallest.
+
+        weights, when given, are integer counts per value.
+        """
+        origin = float(values.min()) - 0.5 * bin_width
+        idx = np.floor((values - origin) / bin_width).astype(np.int64)
+        return cls(bin_width=bin_width, counts=np.bincount(idx, weights=weights), origin=origin)
+
     @property
     def total(self) -> int:
         return int(self.counts.sum())

@@ -103,16 +103,7 @@ class EntanglementReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EntanglementReport":
-        return cls(
-            inputs=d["inputs"],
-            exact_e3f_gebits=d["exact_e3f_gebits"],
-            witness_gebits=d["witness_gebits"],
-            certified_gebits=d["certified_gebits"],
-            entropy_x_bits=d["entropy_x_bits"],
-            entropy_k_bits=d["entropy_k_bits"],
-            bootstrap_se=d["bootstrap_se"],
-            tool_version=d["tool_version"],
-        )
+        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str) -> "EntanglementReport":

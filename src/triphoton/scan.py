@@ -19,15 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import Histogram1D, differential_entropy_from_histogram
+from .entropy import Histogram1D
 from .report import EntanglementReport
 from .states import TripleGaussianState, UnsupportedStateError, _draw, exact_e3f, to_momentum
-from .witness import (
-    SPDC_COEFFICIENTS,
-    WitnessCoefficients,
-    _witness_bootstrap_se,
-    continuous_witness,
-)
+from .witness import SPDC_COEFFICIENTS, WitnessCoefficients, histogram_report
 
 _BASES = ("position", "momentum")
 _BOX_WIDTHS = 6.0  # box half-side in units of the largest marginal width
@@ -248,13 +243,7 @@ def tree_to_linear_histograms(
     running = np.cumsum(occ_counts[coarse_first])
     kept = running > _COARSE_MASS_EXCLUDED * tree.total_count
     width = float(np.abs(cvec).sum() * occ_sides[coarse_first][kept][0])
-
-    vals = centers[occupied] @ cvec
-    weights = counts[occupied]
-    origin = float(vals.min()) - 0.5 * width
-    idx = np.floor((vals - origin) / width).astype(np.int64)
-    binned = np.bincount(idx, weights=weights).astype(np.int64)
-    return Histogram1D(bin_width=width, counts=binned, origin=origin)
+    return Histogram1D.of(centers[occupied] @ cvec, width, weights=occ_counts)
 
 
 def scan_pair(
@@ -264,7 +253,6 @@ def scan_pair(
     threshold: int | None = None,
     max_depth: int = 8,
     seed: int = 0,
-    bootstrap_resamples: int = 64,
 ) -> tuple[PartitionTree, PartitionTree, EntanglementReport]:
     """Scan both bases, histogram, witness; returns both trees and the report.
 
@@ -272,32 +260,27 @@ def scan_pair(
     streams, so reports are reproducible bit for bit.  The exact
     entanglement value is attached when the state admits one.
     """
-    if threshold is None:
-        threshold = default_threshold(n_samples)
     ss_x, ss_k, ss_boot = np.random.SeedSequence(seed).spawn(3)
     tree_x = simulate_adaptive_scan(s, "position", n_samples, threshold, max_depth, ss_x)
     tree_k = simulate_adaptive_scan(s, "momentum", n_samples, threshold, max_depth, ss_k)
     hist_x = tree_to_linear_histograms(tree_x, coeffs)
     hist_k = tree_to_linear_histograms(tree_k, coeffs)
-    h_x = differential_entropy_from_histogram(hist_x)
-    h_k = differential_entropy_from_histogram(hist_k)
-    value = continuous_witness(coeffs, h_x, h_k)
-    se = _witness_bootstrap_se(
-        hist_x, hist_k, bootstrap_resamples, np.random.default_rng(ss_boot)
-    )
     try:
         exact = exact_e3f(s)
     except UnsupportedStateError:
         exact = None
-    report = EntanglementReport(
-        inputs={
+    report = histogram_report(
+        hist_x,
+        hist_k,
+        coeffs,
+        {
             "sigma_u": s.sigma_u,
             "sigma_v": s.sigma_v,
             "sigma_w": s.sigma_w,
             "eta": list(coeffs.eta),
             "beta": list(coeffs.beta),
             "n_samples": n_samples,
-            "threshold": int(threshold),
+            "threshold": tree_x.threshold,
             "max_depth": max_depth,
             "seed": seed,
             "bin_width_x": hist_x.bin_width,
@@ -306,13 +289,9 @@ def scan_pair(
             "n_dropped_k": tree_k.n_dropped,
             "box_halfwidth_x": tree_x.box_halfwidth,
             "box_halfwidth_k": tree_k.box_halfwidth,
-            "bootstrap_resamples": bootstrap_resamples,
         },
-        witness_gebits=value,
-        entropy_x_bits=h_x,
-        entropy_k_bits=h_k,
-        exact_e3f_gebits=exact,
-        bootstrap_se=se,
+        np.random.default_rng(ss_boot),
+        exact,
     )
     return tree_x, tree_k, report
 

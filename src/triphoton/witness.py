@@ -33,10 +33,11 @@ from .entropy import (
     Histogram1D,
     conditional_entropy,
     differential_entropy_from_histogram,
+    gaussian_differential_entropy,
     stacked_mutual_information,
 )
 from .report import EntanglementReport
-from .states import SampleSet
+from .states import SampleSet, TripleGaussianState, exact_e3f, to_momentum
 
 _LOG2 = math.log(2.0)
 
@@ -81,23 +82,38 @@ def continuous_witness(coeffs: WitnessCoefficients, h_x_bits: float, h_k_bits: f
     return float(math.log2(2.0 * math.pi * coeffs.min_pair_product) - h_x_bits - h_k_bits)
 
 
-def _combination_histogram(values: np.ndarray, bin_width: float) -> Histogram1D:
-    origin = float(values.min()) - 0.5 * bin_width
-    idx = np.floor((values - origin) / bin_width).astype(np.int64)
-    return Histogram1D(bin_width=bin_width, counts=np.bincount(idx), origin=origin)
+def analytic_report(s: TripleGaussianState) -> EntanglementReport:
+    """Exact E3F plus the witness evaluated with exact Gaussian entropies."""
+    coeffs = SPDC_COEFFICIENTS
+    dual = to_momentum(s)
+    h_x = gaussian_differential_entropy(math.sqrt(1.5) * s.sigma_v)
+    h_k = gaussian_differential_entropy(math.sqrt(3.0) * dual.sigma_u)
+    return EntanglementReport(
+        inputs={
+            "sigma_u": s.sigma_u,
+            "sigma_v": s.sigma_v,
+            "sigma_w": s.sigma_w,
+            "eta": list(coeffs.eta),
+            "beta": list(coeffs.beta),
+        },
+        witness_gebits=continuous_witness(coeffs, h_x, h_k),
+        entropy_x_bits=h_x,
+        entropy_k_bits=h_k,
+        exact_e3f_gebits=exact_e3f(s),
+    )
+
+
+_BOOTSTRAP_RESAMPLES = 64
 
 
 def _witness_bootstrap_se(
-    hist_x: Histogram1D,
-    hist_k: Histogram1D,
-    resamples: int,
-    rng: np.random.Generator,
+    hist_x: Histogram1D, hist_k: Histogram1D, rng: np.random.Generator
 ) -> float:
     """Bootstrap sd of (h_x + h_k) under multinomial count resampling."""
-    vals = np.empty(resamples)
+    vals = np.empty(_BOOTSTRAP_RESAMPLES)
     px = hist_x.counts / hist_x.total
     pk = hist_k.counts / hist_k.total
-    for i in range(resamples):
+    for i in range(_BOOTSTRAP_RESAMPLES):
         cx = rng.multinomial(hist_x.total, px)
         ck = rng.multinomial(hist_k.total, pk)
         hx = differential_entropy_from_histogram(
@@ -110,13 +126,37 @@ def _witness_bootstrap_se(
     return float(vals.std(ddof=1))
 
 
+def histogram_report(
+    hist_x: Histogram1D,
+    hist_k: Histogram1D,
+    coeffs: WitnessCoefficients,
+    inputs: dict,
+    rng: np.random.Generator,
+    exact_e3f_gebits: float | None = None,
+) -> EntanglementReport:
+    """Witness report from the position and momentum combination histograms.
+
+    The bootstrap SE resamples both histograms _BOOTSTRAP_RESAMPLES times
+    from rng; that count is echoed as the last key of the report's inputs.
+    """
+    h_x = differential_entropy_from_histogram(hist_x)
+    h_k = differential_entropy_from_histogram(hist_k)
+    return EntanglementReport(
+        inputs={**inputs, "bootstrap_resamples": _BOOTSTRAP_RESAMPLES},
+        witness_gebits=continuous_witness(coeffs, h_x, h_k),
+        entropy_x_bits=h_x,
+        entropy_k_bits=h_k,
+        exact_e3f_gebits=exact_e3f_gebits,
+        bootstrap_se=_witness_bootstrap_se(hist_x, hist_k, rng),
+    )
+
+
 def witness_from_samples(
     samples_x: SampleSet,
     samples_k: SampleSet,
     coeffs: WitnessCoefficients,
     bin_width_x: float,
     bin_width_k: float,
-    bootstrap_resamples: int = 64,
 ) -> EntanglementReport:
     """Estimate the witness from position and momentum sample sets.
 
@@ -133,30 +173,19 @@ def witness_from_samples(
         if not np.isfinite(w) or w <= 0.0:
             raise ValueError(f"{name} must be positive, got {w!r}")
 
-    vx = samples_x.values @ np.asarray(coeffs.eta)
-    vk = samples_k.values @ np.asarray(coeffs.beta)
-    hist_x = _combination_histogram(vx, bin_width_x)
-    hist_k = _combination_histogram(vk, bin_width_k)
-    h_x = differential_entropy_from_histogram(hist_x)
-    h_k = differential_entropy_from_histogram(hist_k)
-    value = continuous_witness(coeffs, h_x, h_k)
-    se = _witness_bootstrap_se(
-        hist_x, hist_k, bootstrap_resamples, np.random.default_rng(0)
-    )
-    return EntanglementReport(
-        inputs={
+    return histogram_report(
+        Histogram1D.of(samples_x.values @ np.asarray(coeffs.eta), bin_width_x),
+        Histogram1D.of(samples_k.values @ np.asarray(coeffs.beta), bin_width_k),
+        coeffs,
+        {
             "eta": list(coeffs.eta),
             "beta": list(coeffs.beta),
             "n_samples_x": len(samples_x),
             "n_samples_k": len(samples_k),
             "bin_width_x": float(bin_width_x),
             "bin_width_k": float(bin_width_k),
-            "bootstrap_resamples": bootstrap_resamples,
         },
-        witness_gebits=value,
-        entropy_x_bits=h_x,
-        entropy_k_bits=h_k,
-        bootstrap_se=se,
+        np.random.default_rng(0),
     )
 
 
@@ -176,9 +205,7 @@ def _combination_entropy(samples: SampleSet, coeffs: tuple[float, float, float])
     sd = float(values.std())
     if sd == 0.0:
         return -math.inf
-    return differential_entropy_from_histogram(
-        _combination_histogram(values, sd / _BINS_PER_SIGMA)
-    )
+    return differential_entropy_from_histogram(Histogram1D.of(values, sd / _BINS_PER_SIGMA))
 
 
 def _objective(coeffs: WitnessCoefficients, h_x: float, h_k: float) -> float:

@@ -116,6 +116,27 @@ def test_sweep_single_point_and_bad_range(capsys, tmp_path):
     )
     assert code == 0
     assert len(out_path.read_text().splitlines()) == 2
+    # one point over a non-empty range is the minimum, exactly
+    code, _, _ = _run(
+        capsys,
+        [
+            "sweep",
+            "--config",
+            str(FIG1),
+            "--sigma-p-min",
+            "1e-6",
+            "--sigma-p-max",
+            "1e-3",
+            "--points",
+            "1",
+            "--out",
+            str(out_path),
+        ],
+    )
+    assert code == 0
+    rows = out_path.read_text().splitlines()[1:]
+    assert len(rows) == 1
+    assert float(rows[0].split(",")[0]) == 1e-6
     with pytest.raises(SystemExit) as exc:
         main(
             [

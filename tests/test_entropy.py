@@ -208,6 +208,17 @@ def test_entropy_argument_validation():
         conditional_entropy(pmf3, 5)
 
 
+def test_weighted_histogram_equals_repeated_values():
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=200)
+    weights = rng.integers(1, 5, size=200)
+    weighted = Histogram1D.of(values, 0.3, weights=weights)
+    repeated = Histogram1D.of(np.repeat(values, weights), 0.3)
+    assert weighted.bin_width == repeated.bin_width == 0.3
+    assert weighted.origin == repeated.origin == values.min() - 0.15
+    np.testing.assert_array_equal(weighted.counts, repeated.counts)
+
+
 def test_histogram_validation():
     with pytest.raises(ValueError):
         Histogram1D(0.0, np.array([1]))

@@ -27,6 +27,15 @@ def test_round_trip_is_lossless_and_stable():
     assert back.to_json() == rep.to_json()
 
 
+def test_from_dict_takes_exactly_the_report_fields():
+    d = _report().to_dict()
+    with pytest.raises(TypeError):
+        EntanglementReport.from_dict({**d, "extra": 1})
+    del d["witness_gebits"]
+    with pytest.raises(TypeError):
+        EntanglementReport.from_dict(d)
+
+
 def test_floats_serialized_at_full_precision():
     assert "0.33333333333333331" in _report().to_json()
 

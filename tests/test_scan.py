@@ -211,6 +211,8 @@ def test_report_inputs_echo_and_end_to_end():
     assert rep.inputs["threshold"] == 20
     assert rep.inputs["max_depth"] == 6
     assert rep.inputs["seed"] == 12
+    _, _, rep = scan_pair(s, n_samples=30_000, threshold=None, max_depth=6, seed=12)
+    assert rep.inputs["threshold"] == default_threshold(30_000)
 
 
 def test_record_lines_format():

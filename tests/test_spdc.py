@@ -23,7 +23,7 @@ from triphoton.spdc import (
     witness_sweep,
 )
 from triphoton.states import exact_e3f, to_momentum
-from triphoton.witness import SPDC_COEFFICIENTS, continuous_witness
+from triphoton.witness import SPDC_COEFFICIENTS, analytic_report, continuous_witness
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FUSED = CONFIGS / "fused_silica_516nm.cfg"
@@ -104,6 +104,9 @@ def test_witness_closed_form_matches_entropy_assembly():
         h_k = gaussian_differential_entropy(math.sqrt(3.0) * fit_k.sigma_u)
         assembled = continuous_witness(SPDC_COEFFICIENTS, h_x, h_k)
         assert closed_form_witness(ci) == pytest.approx(assembled, abs=1e-12)
+        assert closed_form_witness(ci) == pytest.approx(
+            analytic_report(to_momentum(fit_k)).witness_gebits, abs=1e-12
+        )
 
 
 def test_fit_width_arithmetic_and_ratio_relation():
@@ -220,8 +223,9 @@ def test_witness_sweep_monotone_and_conservative():
     assert all(b >= a for a, b in zip(wits, wits[1:]))
     for _, wit, exact in rows:
         assert wit <= exact + 1e-9
-    with pytest.raises(ValueError):
-        witness_sweep(cfg, [-1.0])
+    for bad in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            witness_sweep(cfg, [bad])
 
 
 def test_joint_spectral_amplitude_shape():

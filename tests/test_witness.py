@@ -20,6 +20,7 @@ from triphoton.witness import (
     SPDC_COEFFICIENTS,
     DiscreteWitnessInput,
     WitnessCoefficients,
+    analytic_report,
     continuous_witness,
     discrete_witness,
     load_momentum_samples,
@@ -66,6 +67,7 @@ def test_analytic_witness_never_exceeds_exact_value():
         h_k = gaussian_differential_entropy(math.sqrt(3.0) / (2.0 * s.sigma_u))
         wit = continuous_witness(SPDC_COEFFICIENTS, h_x, h_k)
         assert wit <= exact_e3f(s) + 1e-9
+        assert analytic_report(s).witness_gebits == pytest.approx(wit, abs=1e-12)
 
 
 def test_witness_invariant_under_coefficient_rescale():
