@@ -60,11 +60,11 @@ def _positive_int(text: str) -> int:
     return val
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -107,7 +107,7 @@ def _cmd_sweep(args, parser) -> int:
             f"{format(sigma_p, '.17g')},{format(witness, '.17g')},{format(exact, '.17g')}"
         )
     out = Path(args.out)
-    _atomic_write(out, "\n".join(lines) + "\n")
+    _atomic_write(out, ("\n".join(lines) + "\n").encode())
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -152,14 +152,14 @@ def _cmd_simulate(args, parser) -> int:
         # the report goes last, so a report on disk always sits beside the
         # trees it describes; a failed write removes what this call wrote
         outputs = [
-            (prefix.parent / f"{prefix.name}_{tag}.csv", "\n".join(tree.record_lines()) + "\n")
+            (prefix.parent / f"{prefix.name}_{tag}.csv", tree.record_bytes())
             for tree, tag in ((tree_x, "position"), (tree_k, "momentum"))
         ]
-        outputs.append((report_path, report.to_json() + "\n"))
+        outputs.append((report_path, (report.to_json() + "\n").encode()))
         written = []
         try:
-            for path, text in outputs:
-                _atomic_write(path, text)
+            for path, data in outputs:
+                _atomic_write(path, data)
                 written.append(path)
         except BaseException:
             for path in written:

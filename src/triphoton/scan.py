@@ -7,6 +7,12 @@ counts is split into 8 half-size children (up to max_depth).  Fine cells
 therefore appear only where the distribution concentrates, which is what
 makes the scheme affordable for strongly correlated sources.
 
+Each basis is drawn in chunks of _DRAW_CHUNK rows from one generator, so
+the stream is that of a single draw; each chunk is box-filtered, quantised
+and Morton-encoded while it is small, and only its int64 cell codes are
+kept.  The codes are sorted once and the tree is refined from that array,
+so it equals the tree of a one-shot draw.
+
 Leaf-level counts are then collapsed onto the witness's linear combinations
 (cell centers only, mimicking what such an apparatus can record) and fed to
 the entropic witness.  Every approximation made here widens the effective
@@ -28,6 +34,11 @@ _BASES = ("position", "momentum")
 _BOX_WIDTHS = 6.0  # box half-side in units of the largest marginal width
 MAX_TREE_DEPTH = 20  # 3 bits per level in a signed 64-bit interleaved code
 _COARSE_MASS_EXCLUDED = 0.01  # tail counts allowed coarser than the bin width
+# Rows drawn and encoded at a time.  A chunk's float temporaries stay in the
+# L2 cache, and its (k, 3) @ (3, 3) rotation (m*n*k = 147k) stays below the
+# size at which OpenBLAS starts threads, which on a busy host cost up to
+# 0.4 s per 1M-row call.
+_DRAW_CHUNK = 16384
 
 
 # Magic-bits Morton masks (libmorton's 64-bit split-by-3): spreading runs
@@ -61,9 +72,8 @@ def _compact_by_3(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _octal_path(code: int, depth: int) -> str:
-    """Octant-digit path from the root of the depth-`depth` cell `code`."""
-    return format(code, f"0{depth}o") if depth else ""
+# _split_by_3 of every byte: spreading a wider index takes one lookup per byte
+_SPLIT_TABLE = _split_by_3(np.arange(256, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,9 @@ class PartitionTree:
         return 2.0 * self.box_halfwidth / float(2**depth)
 
     def path_of(self, index: int) -> str:
-        return _octal_path(int(self.codes[index]), int(self.depths[index]))
+        """Octant-digit path from the root to cell `index` (empty for the root)."""
+        depth = int(self.depths[index])
+        return format(int(self.codes[index]), f"0{depth}o") if depth else ""
 
     def leaf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(centers (n,3), sides (n,), counts (n,)) over all leaf cells."""
@@ -116,37 +128,79 @@ class PartitionTree:
         centers = -self.box_halfwidth + (g + 0.5) * sides[:, None]
         return centers, sides, counts
 
-    def record_lines(self) -> list[str]:
-        """Export form: one `path,count` line per leaf, in path order.
+    def record_bytes(self) -> bytes:
+        """Export form: one ASCII `path,count` line per leaf, in path order.
 
         Leaves are disjoint, so their codes aligned to max_depth are unique
-        and sort in the same order as their paths.
+        and sort in the same order as their paths.  A path is the cell's
+        octant digits from the root (empty for the root), so each line is
+        depth + 1 + (count digits) + 1 bytes long, newline included.
         """
         sel = self.is_leaf
-        codes, depths, counts = self.codes[sel], self.depths[sel], self.counts[sel]
-        order = np.argsort(codes << 3 * (self.max_depth - depths))
-        return [
-            f"{_octal_path(c, d)},{n}"
-            for c, d, n in zip(
-                codes[order].tolist(), depths[order].tolist(), counts[order].tolist()
-            )
-        ]
+        depths, counts = self.depths[sel], self.counts[sel]
+        aligned = self.codes[sel] << 3 * (self.max_depth - depths)
+        order = np.argsort(aligned)
+        aligned, depths, counts = aligned[order], depths[order], counts[order]
+        n_digits = np.ones_like(counts)
+        power, top = 10, int(counts.max())
+        while power <= top:
+            n_digits += counts >= power
+            power *= 10
+        ends = np.cumsum(depths + n_digits + 2)
+        commas = ends - n_digits - 2
+        starts = commas - depths
+        buf = np.empty(int(ends[-1]), dtype=np.uint8)
+        buf[commas] = ord(",")
+        buf[ends - 1] = ord("\n")
+        for j in range(int(depths.max())):  # the j-th octant digit from the root
+            has = depths > j
+            buf[starts[has] + j] = ord("0") + ((aligned[has] >> 3 * (self.max_depth - 1 - j)) & 7)
+        for k in range(int(n_digits.max())):  # the k-th count digit from the right
+            has = n_digits > k
+            buf[ends[has] - 2 - k] = ord("0") + counts[has] // 10**k % 10
+        return buf.tobytes()
+
+    def record_lines(self) -> list[str]:
+        """The lines of record_bytes(), without their newlines."""
+        return self.record_bytes().decode().splitlines()
+
+
+def _cell_codes(values: np.ndarray, box_halfwidth: float, max_depth: int) -> np.ndarray:
+    """Finest-depth Morton codes of the rows of `values` inside [-B, B]^3.
+
+    A row is kept when every |coordinate| <= B; a coordinate exactly on a +B
+    face lands in the last cell.  Rows outside the box are left out, and the
+    caller counts them as dropped.
+    """
+    n_grid = 2**max_depth
+    ok = np.abs(values) <= box_halfwidth
+    q = values + box_halfwidth if ok.all() else values[ok.all(axis=1)] + box_halfwidth
+    q /= 2.0 * box_halfwidth / n_grid
+    # q >= 0 since values >= -B, so only the +B faces need clamping
+    np.floor(q, out=q)
+    np.minimum(q, n_grid - 1, out=q)
+    g = q.astype(np.int64)
+    codes = np.zeros(g.shape[0], dtype=np.int64)
+    for axis in range(3):  # x takes the highest bit of each octal digit
+        for low in range(0, max_depth, 8):
+            codes |= _SPLIT_TABLE.take((g[:, axis] >> low) & 0xFF) << (3 * low + 2 - axis)
+    return codes
 
 
 def _build_tree(
-    values: np.ndarray, basis: str, box_halfwidth: float, max_depth: int, threshold: int
+    codes: np.ndarray,
+    n_total: int,
+    basis: str,
+    box_halfwidth: float,
+    max_depth: int,
+    threshold: int,
 ) -> PartitionTree:
-    n_total = values.shape[0]
-    inside = np.all(np.abs(values) <= box_halfwidth, axis=1)
-    n_grid = 2**max_depth
-    side = 2.0 * box_halfwidth / n_grid
-    g = np.floor((values[inside] + box_halfwidth) / side).astype(np.int64)
-    np.clip(g, 0, n_grid - 1, out=g)  # samples exactly on the +B faces
-    n_kept = g.shape[0]
-    full = _split_by_3(g[:, 0]) << 2
-    full |= _split_by_3(g[:, 1]) << 1
-    full |= _split_by_3(g[:, 2])
-    full.sort()
+    """Refine the count tree over the finest-depth codes of the kept samples.
+
+    Sorts `codes` in place.
+    """
+    codes.sort()
+    n_kept = codes.size
 
     # top-down: split any cell at or over threshold, keeping all 8 children.
     # Depth-d cell c holds the finest codes in [c << 3(D-d), (c+1) << 3(D-d)).
@@ -162,7 +216,7 @@ def _build_tree(
         if not refined.any():
             break
         kids = (cur_codes[refined, None] << 3) + np.arange(9)
-        edges = np.searchsorted(full, kids << 3 * (max_depth - d - 1))
+        edges = np.searchsorted(codes, kids << 3 * (max_depth - d - 1))
         cur_counts = np.diff(edges).ravel()
         cur_codes = kids[:, :8].ravel()
 
@@ -197,8 +251,10 @@ def simulate_adaptive_scan(
 
     The box half-side is 6x the largest marginal width of the sampled basis,
     so the per-sample probability of falling outside (dropped, but counted in
-    the result) stays below 1e-6.  The tree depends only on the multiset of
-    samples, not their order.
+    the result) stays below 1e-6.  The draw is streamed in chunks of
+    _DRAW_CHUNK rows from one generator, which is the same stream as one
+    draw of n_samples rows; the tree depends only on the multiset of cell
+    codes, so it equals the tree of that one-shot draw.
     """
     if basis not in _BASES:
         raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
@@ -213,9 +269,14 @@ def simulate_adaptive_scan(
 
     src = s if basis == "position" else to_momentum(s)
     rng = np.random.default_rng(seed)
-    values = _draw(src, n_samples, rng)
     box = _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)
-    return _build_tree(values, basis, box, max_depth, int(threshold))
+    codes = np.concatenate(
+        [
+            _cell_codes(_draw(src, min(_DRAW_CHUNK, n_samples - start), rng), box, max_depth)
+            for start in range(0, n_samples, _DRAW_CHUNK)
+        ]
+    )
+    return _build_tree(codes, n_samples, basis, box, max_depth, int(threshold))
 
 
 def tree_to_linear_histograms(

@@ -1,14 +1,21 @@
 """Adaptive octree scan simulation and histogram extraction."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triphoton.entropy import Histogram1D, differential_entropy_from_histogram
 from triphoton.scan import (
+    _BOX_WIDTHS,
+    _DRAW_CHUNK,
     MAX_TREE_DEPTH,
+    _build_tree,
+    _cell_codes,
     _compact_by_3,
     _split_by_3,
     default_threshold,
@@ -18,9 +25,11 @@ from triphoton.scan import (
 )
 from triphoton.states import (
     TripleGaussianState,
+    _draw,
     exact_e3f,
     pair_statistics,
     sample_positions,
+    to_momentum,
 )
 from triphoton.witness import SPDC_COEFFICIENTS
 
@@ -120,6 +129,93 @@ def test_morton_split_matches_bit_loop():
         want |= ((g >> b) & 1) << (3 * b)
     assert np.array_equal(_split_by_3(g), want)
     assert np.array_equal(_compact_by_3(want), g)
+
+
+def _one_shot_codes(values, box, max_depth):
+    """Box filter, quantise and magic-bits encode of a whole draw at once."""
+    inside = np.all(np.abs(values) <= box, axis=1)
+    n_grid = 2**max_depth
+    g = np.floor((values[inside] + box) / (2.0 * box / n_grid)).astype(np.int64)
+    np.clip(g, 0, n_grid - 1, out=g)
+    return (_split_by_3(g[:, 0]) << 2) | (_split_by_3(g[:, 1]) << 1) | _split_by_3(g[:, 2])
+
+
+def _assert_same_tree(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize(
+    "n, basis, max_depth",
+    [
+        (1, "position", 8),
+        (_DRAW_CHUNK - 1, "momentum", 12),
+        (_DRAW_CHUNK, "position", 8),
+        (_DRAW_CHUNK + 1, "momentum", MAX_TREE_DEPTH),
+        (3 * _DRAW_CHUNK + 5, "position", 12),
+    ],
+)
+def test_chunked_scan_equals_one_shot_draw(n, basis, max_depth):
+    s = TripleGaussianState(5.0, 1.0, 1.0)
+    src = s if basis == "position" else to_momentum(s)
+    box = _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)
+    values = _draw(src, n, np.random.default_rng(8))
+    codes = _one_shot_codes(values, box, max_depth)
+    assert np.array_equal(_cell_codes(values, box, max_depth), codes)
+    want = _build_tree(codes, n, basis, box, max_depth, 4)
+    _assert_same_tree(simulate_adaptive_scan(s, basis, n, 4, max_depth, seed=8), want)
+
+
+def test_cell_codes_box_faces():
+    box, depth = 3.0, 4
+    last = 2**depth - 1
+
+    def code(gx, gy, gz):
+        return int(_split_by_3(np.array([gx, gy, gz])) @ [4, 2, 1])
+
+    kept = np.array([[box, box, box], [-box, -box, -box], [box, 0.0, -box], [0.0, 0.0, 0.0]])
+    want = [code(last, last, last), 0, code(last, 8, 0), code(8, 8, 8)]
+    assert _cell_codes(kept, box, depth).tolist() == want
+    over = np.nextafter(box, np.inf)
+    under = np.nextafter(-box, -np.inf)
+    outside = [[over, 0.0, 0.0], [0.0, under, 0.0]]
+    planted = np.vstack([kept[:2], outside, kept[2:], [[0.0, 0.0, -over]]])
+    assert _cell_codes(planted, box, depth).tolist() == want
+    assert _cell_codes(planted[2:4], box, depth).size == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    spread=st.floats(0.05, 2.0),
+    max_depth=st.integers(1, 10),
+    threshold=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tree_invariants(n, spread, max_depth, threshold, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, 3)) * spread  # box B = 1: wide spreads drop rows
+    codes = _cell_codes(values, 1.0, max_depth)
+    tree = _build_tree(codes, n, "position", 1.0, max_depth, threshold)
+    # drops are the rows with a coordinate outside the box, and nothing else
+    assert tree.n_dropped == int((np.abs(values) > 1.0).any(axis=1).sum())
+    leaf = tree.is_leaf
+    assert int(tree.counts[leaf].sum()) == n - tree.n_dropped
+    # leaves tile the box
+    assert sum(8 ** (max_depth - int(d)) for d in tree.depths[leaf]) == 8**max_depth
+    # children sum to their parent, and only cells at or over threshold split
+    cells = {(int(d), int(c)): int(k) for d, c, k in zip(tree.depths, tree.codes, tree.counts)}
+    for d, c, k, is_leaf in zip(tree.depths, tree.codes, tree.counts, leaf):
+        if not is_leaf:
+            assert k >= threshold
+            assert sum(cells[(int(d) + 1, (int(c) << 3) + o)] for o in range(8)) == k
+    # sample order makes no difference
+    shuffled = _build_tree(rng.permutation(codes), n, "position", 1.0, max_depth, threshold)
+    _assert_same_tree(shuffled, tree)
 
 
 def test_refinement_follows_the_correlation_diagonal():
@@ -224,6 +320,34 @@ def test_record_lines_format():
         path, count = line.rsplit(",", 1)
         assert set(path) <= set("01234567")
         assert int(count) >= 0
+
+
+def _joined_records(tree):
+    """`path,count` lines built one leaf at a time from path_of."""
+    leaves = sorted(np.flatnonzero(tree.is_leaf), key=tree.path_of)
+    return "".join(f"{tree.path_of(i)},{tree.counts[i]}\n" for i in leaves).encode()
+
+
+def test_record_bytes_matches_per_leaf_join():
+    codes = np.zeros(1_234_567, dtype=np.int64)
+    root_only = _build_tree(codes, 1_234_570, "position", 1.0, 5, 2_000_000)
+    assert root_only.record_bytes() == b",1234567\n"
+    # a leaf with a 7-digit count, and empty leaves at depths 1, 2 and 3
+    corner = np.zeros(1_000_003, dtype=np.int64)
+    corner[-3:] = (63, 448, 511)
+    sparse = _build_tree(corner, corner.size, "momentum", 1.0, 3, 2)
+    assert (sparse.counts[sparse.is_leaf] == 0).any()
+    assert b",1000000\n" in sparse.record_bytes()
+    s = TripleGaussianState(2.0, 1.0, 1.0)
+    trees = [
+        root_only,
+        sparse,
+        simulate_adaptive_scan(s, "position", 5000, 100, 4, seed=3),
+        simulate_adaptive_scan(s, "position", 200, 1, MAX_TREE_DEPTH, seed=3),
+    ]
+    for tree in trees:
+        assert tree.record_bytes() == _joined_records(tree)
+        assert tree.record_lines() == _joined_records(tree).decode().splitlines()
 
 
 def test_record_and_parameter_validation():
