@@ -11,7 +11,9 @@ Each basis is drawn in chunks of _DRAW_CHUNK rows from one generator, so
 the stream is that of a single draw; each chunk is box-filtered, quantised
 and Morton-encoded while it is small, and only its int64 cell codes are
 kept.  The codes are sorted once and the tree is refined from that array,
-so it equals the tree of a one-shot draw.
+so it equals the tree of a one-shot draw.  scan_pair draws and encodes its
+two bases at the same time, one on a worker thread, and then builds the two
+trees one after the other.
 
 Leaf-level counts are then collapsed onto the witness's linear combinations
 (cell centers only, mimicking what such an apparatus can record) and fed to
@@ -21,6 +23,7 @@ bins, so the resulting entanglement estimate errs low, never high.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,7 +124,10 @@ class PartitionTree:
 
     def leaf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(centers (n,3), sides (n,), counts (n,)) over all leaf cells."""
-        sel = self.is_leaf
+        return self._cell_table(self.is_leaf)
+
+    def _cell_table(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centers, sides, counts) of the cells where the mask `sel` is True."""
         codes, depths, counts = self.codes[sel], self.depths[sel], self.counts[sel]
         sides = 2.0 * self.box_halfwidth / np.exp2(depths.astype(float))
         g = _compact_by_3(np.stack([codes >> 2, codes >> 1, codes], axis=1))
@@ -239,6 +245,44 @@ def default_threshold(n_samples: int) -> int:
     return max(16, n_samples // 4096)
 
 
+def _checked_threshold(n_samples: int, threshold: int | None, max_depth: int) -> int:
+    """Validate a scan's sizes; returns the refinement threshold to use."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not 1 <= max_depth <= MAX_TREE_DEPTH:
+        raise ValueError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {max_depth}")
+    if threshold is None:
+        threshold = default_threshold(n_samples)
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    return int(threshold)
+
+
+def _scan_codes(
+    s: TripleGaussianState,
+    basis: str,
+    max_depth: int,
+    seed: int | np.random.SeedSequence,
+    out: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Draw len(out) triplets in `basis` and Morton-encode those in the box.
+
+    The draw is streamed in chunks of _DRAW_CHUNK rows from one generator,
+    and the kept codes fill the front of `out`.  Returns that filled slice
+    (a view of `out`) and the box half-side, _BOX_WIDTHS times the largest
+    marginal width of the sampled basis.
+    """
+    src = s if basis == "position" else to_momentum(s)
+    rng = np.random.default_rng(seed)
+    box = _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)
+    n_samples, n_kept = out.size, 0
+    for start in range(0, n_samples, _DRAW_CHUNK):
+        codes = _cell_codes(_draw(src, min(_DRAW_CHUNK, n_samples - start), rng), box, max_depth)
+        out[n_kept : n_kept + codes.size] = codes
+        n_kept += codes.size
+    return out[:n_kept], box
+
+
 def simulate_adaptive_scan(
     s: TripleGaussianState,
     basis: str,
@@ -258,25 +302,9 @@ def simulate_adaptive_scan(
     """
     if basis not in _BASES:
         raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not 1 <= max_depth <= MAX_TREE_DEPTH:
-        raise ValueError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {max_depth}")
-    if threshold is None:
-        threshold = default_threshold(n_samples)
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-
-    src = s if basis == "position" else to_momentum(s)
-    rng = np.random.default_rng(seed)
-    box = _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)
-    codes = np.concatenate(
-        [
-            _cell_codes(_draw(src, min(_DRAW_CHUNK, n_samples - start), rng), box, max_depth)
-            for start in range(0, n_samples, _DRAW_CHUNK)
-        ]
-    )
-    return _build_tree(codes, n_samples, basis, box, max_depth, int(threshold))
+    threshold = _checked_threshold(n_samples, threshold, max_depth)
+    codes, box = _scan_codes(s, basis, max_depth, seed, np.empty(n_samples, dtype=np.int64))
+    return _build_tree(codes, n_samples, basis, box, max_depth, threshold)
 
 
 def tree_to_linear_histograms(
@@ -297,14 +325,12 @@ def tree_to_linear_histograms(
     if tree.total_count <= 0:
         raise ValueError("tree holds no counts")
     cvec = np.asarray(coeffs.eta if tree.basis == "position" else coeffs.beta)
-    centers, sides, counts = tree.leaf_table()
-    occupied = counts > 0
-    occ_sides, occ_counts = sides[occupied], counts[occupied]
-    coarse_first = np.argsort(-occ_sides, kind="stable")
-    running = np.cumsum(occ_counts[coarse_first])
+    centers, sides, counts = tree._cell_table(tree.is_leaf & (tree.counts > 0))
+    coarse_first = np.argsort(-sides, kind="stable")
+    running = np.cumsum(counts[coarse_first])
     kept = running > _COARSE_MASS_EXCLUDED * tree.total_count
-    width = float(np.abs(cvec).sum() * occ_sides[coarse_first][kept][0])
-    return Histogram1D.of(centers[occupied] @ cvec, width, weights=occ_counts)
+    width = float(np.abs(cvec).sum() * sides[coarse_first][kept][0])
+    return Histogram1D.of(centers @ cvec, width, weights=counts)
 
 
 def scan_pair(
@@ -320,10 +346,38 @@ def scan_pair(
     Splits the seed into independent position, momentum, and bootstrap
     streams, so reports are reproducible bit for bit.  The exact
     entanglement value is attached when the state admits one.
+
+    The position basis is drawn and encoded on one worker thread while the
+    calling thread does the momentum basis; the two share no state.  Both
+    code buffers are allocated here, and the trees are built one after the
+    other once the worker has joined, so the build peaks never overlap.
+    The trees equal those of simulate_adaptive_scan on the same streams.
     """
+    threshold = _checked_threshold(n_samples, threshold, max_depth)
     ss_x, ss_k, ss_boot = np.random.SeedSequence(seed).spawn(3)
-    tree_x = simulate_adaptive_scan(s, "position", n_samples, threshold, max_depth, ss_x)
-    tree_k = simulate_adaptive_scan(s, "momentum", n_samples, threshold, max_depth, ss_k)
+    buf_x = np.empty(n_samples, dtype=np.int64)
+    buf_k = np.empty(n_samples, dtype=np.int64)
+    done_x: list = []  # the worker's (codes, box), or the exception it raised
+
+    def scan_x() -> None:
+        try:
+            done_x.append(_scan_codes(s, "position", max_depth, ss_x, buf_x))
+        except BaseException as exc:  # re-raised on the calling thread
+            done_x.append(exc)
+
+    worker = threading.Thread(target=scan_x, name="triphoton-scan-position")
+    worker.start()
+    try:
+        codes_k, box_k = _scan_codes(s, "momentum", max_depth, ss_k, buf_k)
+    finally:
+        worker.join()
+    if isinstance(done_x[0], BaseException):
+        raise done_x[0]
+    codes_x, box_x = done_x.pop()
+    tree_x = _build_tree(codes_x, n_samples, "position", box_x, max_depth, threshold)
+    del codes_x, buf_x  # free each basis's codes once its tree is built
+    tree_k = _build_tree(codes_k, n_samples, "momentum", box_k, max_depth, threshold)
+    del codes_k, buf_k
     hist_x = tree_to_linear_histograms(tree_x, coeffs)
     hist_k = tree_to_linear_histograms(tree_k, coeffs)
     try:
@@ -341,7 +395,7 @@ def scan_pair(
             "eta": list(coeffs.eta),
             "beta": list(coeffs.beta),
             "n_samples": n_samples,
-            "threshold": tree_x.threshold,
+            "threshold": threshold,
             "max_depth": max_depth,
             "seed": seed,
             "bin_width_x": hist_x.bin_width,

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triphoton import scan
 from triphoton.entropy import Histogram1D, differential_entropy_from_histogram
 from triphoton.scan import (
     _BOX_WIDTHS,
@@ -31,7 +33,7 @@ from triphoton.states import (
     sample_positions,
     to_momentum,
 )
-from triphoton.witness import SPDC_COEFFICIENTS
+from triphoton.witness import SPDC_COEFFICIENTS, histogram_report
 
 _LOG2_3SQRT2E = math.log2(3.0 * math.sqrt(2.0) * math.e)
 
@@ -168,6 +170,81 @@ def test_chunked_scan_equals_one_shot_draw(n, basis, max_depth):
     assert np.array_equal(_cell_codes(values, box, max_depth), codes)
     want = _build_tree(codes, n, basis, box, max_depth, 4)
     _assert_same_tree(simulate_adaptive_scan(s, basis, n, 4, max_depth, seed=8), want)
+
+
+def _sequential_pair(s, n, threshold, max_depth, seed):
+    """scan_pair as two simulate_adaptive_scan calls in turn, on one thread."""
+    ss_x, ss_k, ss_boot = np.random.SeedSequence(seed).spawn(3)
+    tree_x = simulate_adaptive_scan(s, "position", n, threshold, max_depth, ss_x)
+    tree_k = simulate_adaptive_scan(s, "momentum", n, threshold, max_depth, ss_k)
+    hist_x = tree_to_linear_histograms(tree_x, SPDC_COEFFICIENTS)
+    hist_k = tree_to_linear_histograms(tree_k, SPDC_COEFFICIENTS)
+    inputs = {
+        "sigma_u": s.sigma_u,
+        "sigma_v": s.sigma_v,
+        "sigma_w": s.sigma_w,
+        "eta": list(SPDC_COEFFICIENTS.eta),
+        "beta": list(SPDC_COEFFICIENTS.beta),
+        "n_samples": n,
+        "threshold": tree_x.threshold,
+        "max_depth": max_depth,
+        "seed": seed,
+        "bin_width_x": hist_x.bin_width,
+        "bin_width_k": hist_k.bin_width,
+        "n_dropped_x": tree_x.n_dropped,
+        "n_dropped_k": tree_k.n_dropped,
+        "box_halfwidth_x": tree_x.box_halfwidth,
+        "box_halfwidth_k": tree_k.box_halfwidth,
+    }
+    rng = np.random.default_rng(ss_boot)
+    report = histogram_report(hist_x, hist_k, SPDC_COEFFICIENTS, inputs, rng, exact_e3f(s))
+    return tree_x, tree_k, report
+
+
+@pytest.mark.parametrize("max_depth", [6, 12])
+@pytest.mark.parametrize("n", [1, _DRAW_CHUNK - 1, 3 * _DRAW_CHUNK + 5])
+def test_scan_pair_equals_sequential_scans(n, max_depth):
+    s = TripleGaussianState(5.0, 1.0, 1.0)
+    got = scan_pair(s, n_samples=n, threshold=4, max_depth=max_depth, seed=11)
+    want = _sequential_pair(s, n, 4, max_depth, 11)
+    _assert_same_tree(got[0], want[0])
+    _assert_same_tree(got[1], want[1])
+    assert got[2] == want[2]
+    assert got[2].to_json() == want[2].to_json()
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_scan_pair_raises_either_basis_error_and_joins(monkeypatch, failing):
+    def draw(src, n, rng):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (failing == "worker"):
+            raise RuntimeError(f"{failing} draw failed")
+        return _draw(src, n, rng)
+
+    before = threading.active_count()
+    monkeypatch.setattr(scan, "_draw", draw)
+    with pytest.raises(RuntimeError, match=f"{failing} draw failed"):
+        scan_pair(TripleGaussianState(5.0, 1.0, 1.0), n_samples=200_000, seed=3)
+    # the worker was joined before the error reached the caller
+    assert threading.active_count() == before
+
+
+def test_collapse_equals_all_leaf_decode():
+    # the collapse decodes only occupied leaves; it must equal decoding every
+    # leaf through leaf_table() and then dropping the empty ones
+    s = TripleGaussianState(20.0, 1.0, 1.0)
+    for basis, cvec in (("position", SPDC_COEFFICIENTS.eta), ("momentum", SPDC_COEFFICIENTS.beta)):
+        tree = simulate_adaptive_scan(s, basis, 50_000, threshold=16, max_depth=10, seed=2)
+        centers, sides, counts = tree.leaf_table()
+        occ = counts > 0
+        assert not occ.all()
+        coarse_first = np.argsort(-sides[occ], kind="stable")
+        kept = np.cumsum(counts[occ][coarse_first]) > 0.01 * tree.total_count
+        width = float(np.abs(cvec).sum() * sides[occ][coarse_first][kept][0])
+        want = Histogram1D.of(centers[occ] @ np.asarray(cvec), width, weights=counts[occ])
+        got = tree_to_linear_histograms(tree, SPDC_COEFFICIENTS)
+        assert (got.bin_width, got.origin) == (want.bin_width, want.origin)
+        assert np.array_equal(got.counts, want.counts)
 
 
 def test_cell_codes_box_faces():
