@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .report import json_dumps
-from .scan import MAX_TREE_DEPTH, scan_pair
+from .scan import MAX_TREE_DEPTH, export_pair, scan_pair
 from .spdc import (
     ConfigError,
     gaussian_fit_widths,
@@ -152,8 +152,8 @@ def _cmd_simulate(args, parser) -> int:
         # the report goes last, so a report on disk always sits beside the
         # trees it describes; a failed write removes what this call wrote
         outputs = [
-            (prefix.parent / f"{prefix.name}_{tag}.csv", tree.record_bytes())
-            for tree, tag in ((tree_x, "position"), (tree_k, "momentum"))
+            (prefix.parent / f"{prefix.name}_{tag}.csv", data)
+            for data, tag in zip(export_pair(tree_x, tree_k), ("position", "momentum"))
         ]
         outputs.append((report_path, (report.to_json() + "\n").encode()))
         written = []

@@ -11,9 +11,12 @@ Each basis is drawn in chunks of _DRAW_CHUNK rows from one generator, so
 the stream is that of a single draw; each chunk is box-filtered, quantised
 and Morton-encoded while it is small, and only its int64 cell codes are
 kept.  The codes are sorted once and the tree is refined from that array,
-so it equals the tree of a one-shot draw.  scan_pair draws and encodes its
-two bases at the same time, one on a worker thread, and then builds the two
-trees one after the other.
+so it equals the tree of a one-shot draw.  scan_pair runs each basis end to
+end (draw, encode, sort, refine, collapse) on its own thread, and
+export_pair builds the two trees' CSV bytes the same way; _on_two_threads
+is the one place a thread starts.  The collapse and the export work
+through the leaves _LEAF_BLOCK at a time, so that the two bases' peaks,
+which now overlap, stay small.
 
 Leaf-level counts are then collapsed onto the witness's linear combinations
 (cell centers only, mimicking what such an apparatus can record) and fed to
@@ -24,6 +27,7 @@ bins, so the resulting entanglement estimate errs low, never high.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +46,9 @@ _COARSE_MASS_EXCLUDED = 0.01  # tail counts allowed coarser than the bin width
 # size at which OpenBLAS starts threads, which on a busy host cost up to
 # 0.4 s per 1M-row call.
 _DRAW_CHUNK = 16384
+# Leaves decoded, projected or written at a time by the collapse and the
+# export, so their per-leaf temporaries stay O(block) beside the tree.
+_LEAF_BLOCK = 16384
 
 
 # Magic-bits Morton masks (libmorton's 64-bit split-by-3): spreading runs
@@ -67,16 +74,22 @@ def _split_by_3(g: np.ndarray) -> np.ndarray:
 
 
 def _compact_by_3(c: np.ndarray) -> np.ndarray:
-    """Inverse of _split_by_3: gather bits 0, 3, 6, ... into bits 0, 1, 2, ..."""
-    c = c & _MORTON_MASKS[-1]
+    """Inverse of _split_by_3: gather bits 0, 3, 6, ... into bits 0, 1, 2, ...
+
+    Works in place, with one scratch array of c's size, and returns c.
+    """
+    c &= _MORTON_MASKS[-1]
+    scratch = np.empty_like(c)
     for shift, mask in zip(reversed(_MORTON_SHIFTS), reversed(_MORTON_MASKS[:-1])):
-        c ^= c >> shift
+        np.right_shift(c, shift, out=scratch)
+        c ^= scratch
         c &= mask
     return c
 
 
-# _split_by_3 of every byte: spreading a wider index takes one lookup per byte
-_SPLIT_TABLE = _split_by_3(np.arange(256, dtype=np.int64))
+# _split_by_3 of every 12-bit index, shifted to its axis's bit of each octal
+# digit (x highest): encoding takes one lookup per axis per 12 levels
+_AXIS_TABLES = tuple(_split_by_3(np.arange(4096, dtype=np.int64)) << 2 - axis for axis in range(3))
 
 
 @dataclass(frozen=True)
@@ -127,11 +140,19 @@ class PartitionTree:
         return self._cell_table(self.is_leaf)
 
     def _cell_table(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(centers, sides, counts) of the cells where the mask `sel` is True."""
-        codes, depths, counts = self.codes[sel], self.depths[sel], self.counts[sel]
-        sides = 2.0 * self.box_halfwidth / np.exp2(depths.astype(float))
-        g = _compact_by_3(np.stack([codes >> 2, codes >> 1, codes], axis=1))
-        centers = -self.box_halfwidth + (g + 0.5) * sides[:, None]
+        """(centers, sides, counts) of the cells picked by `sel`, a mask or indices.
+
+        Decodes in place: the (x, y, z) cell indices go into one int64
+        array, which is compacted and then cast once to the centers.
+        """
+        codes, counts = self.codes[sel], self.counts[sel]
+        sides = 2.0 * self.box_halfwidth / np.exp2(self.depths[sel].astype(float))
+        g = _compact_by_3(np.right_shift(codes[:, None], [2, 1, 0]))
+        centers = g.astype(float)
+        del g
+        centers += 0.5
+        centers *= sides[:, None]
+        centers += -self.box_halfwidth
         return centers, sides, counts
 
     def record_bytes(self) -> bytes:
@@ -140,31 +161,40 @@ class PartitionTree:
         Leaves are disjoint, so their codes aligned to max_depth are unique
         and sort in the same order as their paths.  A path is the cell's
         octant digits from the root (empty for the root), so each line is
-        depth + 1 + (count digits) + 1 bytes long, newline included.
+        depth + 1 + (count digits) + 1 bytes long, newline included.  Lines
+        are written _LEAF_BLOCK at a time and joined at the end.
         """
-        sel = self.is_leaf
-        depths, counts = self.depths[sel], self.counts[sel]
-        aligned = self.codes[sel] << 3 * (self.max_depth - depths)
+        leaves = np.flatnonzero(self.is_leaf)
+        aligned = self.codes[leaves] << 3 * (self.max_depth - self.depths[leaves])
         order = np.argsort(aligned)
-        aligned, depths, counts = aligned[order], depths[order], counts[order]
-        n_digits = np.ones_like(counts)
-        power, top = 10, int(counts.max())
-        while power <= top:
-            n_digits += counts >= power
-            power *= 10
-        ends = np.cumsum(depths + n_digits + 2)
-        commas = ends - n_digits - 2
-        starts = commas - depths
-        buf = np.empty(int(ends[-1]), dtype=np.uint8)
-        buf[commas] = ord(",")
-        buf[ends - 1] = ord("\n")
-        for j in range(int(depths.max())):  # the j-th octant digit from the root
-            has = depths > j
-            buf[starts[has] + j] = ord("0") + ((aligned[has] >> 3 * (self.max_depth - 1 - j)) & 7)
-        for k in range(int(n_digits.max())):  # the k-th count digit from the right
-            has = n_digits > k
-            buf[ends[has] - 2 - k] = ord("0") + counts[has] // 10**k % 10
-        return buf.tobytes()
+        aligned = aligned[order]
+        leaves = leaves[order]  # tree indices in path order
+        del order
+        depths, counts = self.depths[leaves], self.counts[leaves]
+        del leaves
+        parts = []
+        for lo in range(0, counts.size, _LEAF_BLOCK):
+            a, d, c = (x[lo : lo + _LEAF_BLOCK] for x in (aligned, depths, counts))
+            n_digits = np.ones_like(c)
+            power, top = 10, int(c.max())
+            while power <= top:
+                n_digits += c >= power
+                power *= 10
+            ends = np.cumsum(d + n_digits + 2)
+            commas = ends - n_digits - 2
+            starts = commas - d
+            buf = np.empty(int(ends[-1]), dtype=np.uint8)
+            buf[commas] = ord(",")
+            buf[ends - 1] = ord("\n")
+            for j in range(int(d.max())):  # the j-th octant digit from the root
+                has = d > j
+                buf[starts[has] + j] = ord("0") + ((a[has] >> 3 * (self.max_depth - 1 - j)) & 7)
+            for k in range(int(n_digits.max())):  # the k-th count digit from the right
+                has = n_digits > k
+                buf[ends[has] - 2 - k] = ord("0") + c[has] // 10**k % 10
+            parts.append(buf.tobytes())
+        del aligned, depths, counts, a, d, c  # before the join copies the parts
+        return b"".join(parts)
 
     def record_lines(self) -> list[str]:
         """The lines of record_bytes(), without their newlines."""
@@ -185,11 +215,11 @@ def _cell_codes(values: np.ndarray, box_halfwidth: float, max_depth: int) -> np.
     # q >= 0 since values >= -B, so only the +B faces need clamping
     np.floor(q, out=q)
     np.minimum(q, n_grid - 1, out=q)
-    g = q.astype(np.int64)
-    codes = np.zeros(g.shape[0], dtype=np.int64)
-    for axis in range(3):  # x takes the highest bit of each octal digit
-        for low in range(0, max_depth, 8):
-            codes |= _SPLIT_TABLE.take((g[:, axis] >> low) & 0xFF) << (3 * low + 2 - axis)
+    g = q.T.astype(np.int64, order="C")  # one contiguous row per axis
+    codes = np.zeros(g.shape[1], dtype=np.int64)
+    for low in range(0, max_depth, 12):
+        for table, g_axis in zip(_AXIS_TABLES, g):
+            codes |= table.take((g_axis >> low) & 0xFFF) << 3 * low
     return codes
 
 
@@ -210,22 +240,29 @@ def _build_tree(
 
     # top-down: split any cell at or over threshold, keeping all 8 children.
     # Depth-d cell c holds the finest codes in [c << 3(D-d), (c+1) << 3(D-d)).
-    chunk_depth, chunk_codes, chunk_counts, chunk_leaf = [], [], [], []
+    level_codes, level_counts, level_leaf = [], [], []
     cur_codes = np.zeros(1, dtype=np.int64)
     cur_counts = np.array([n_kept], dtype=np.int64)
     for d in range(max_depth + 1):
         refined = (cur_counts >= threshold) & (d < max_depth)
-        chunk_depth.append(np.full(cur_codes.size, d, dtype=np.int64))
-        chunk_codes.append(cur_codes)
-        chunk_counts.append(cur_counts)
-        chunk_leaf.append(~refined)
+        level_codes.append(cur_codes)
+        level_counts.append(cur_counts)
+        level_leaf.append(~refined)
         if not refined.any():
             break
         kids = (cur_codes[refined, None] << 3) + np.arange(9)
         edges = np.searchsorted(codes, kids << 3 * (max_depth - d - 1))
         cur_counts = np.diff(edges).ravel()
         cur_codes = kids[:, :8].ravel()
+        del kids, edges
 
+    # joined one field at a time, each level list cleared once joined, so
+    # at most one field is held twice
+    depths = np.repeat(np.arange(len(level_leaf), dtype=np.int64), [c.size for c in level_codes])
+    cell_codes = np.concatenate(level_codes)
+    level_codes.clear()
+    counts = np.concatenate(level_counts)
+    level_counts.clear()
     return PartitionTree(
         basis=basis,
         box_halfwidth=float(box_halfwidth),
@@ -233,10 +270,10 @@ def _build_tree(
         threshold=threshold,
         n_samples=n_total,
         n_dropped=n_total - n_kept,
-        depths=np.concatenate(chunk_depth),
-        codes=np.concatenate(chunk_codes),
-        counts=np.concatenate(chunk_counts),
-        is_leaf=np.concatenate(chunk_leaf),
+        depths=depths,
+        codes=cell_codes,
+        counts=counts,
+        is_leaf=np.concatenate(level_leaf),
     )
 
 
@@ -307,6 +344,19 @@ def simulate_adaptive_scan(
     return _build_tree(codes, n_samples, basis, box, max_depth, threshold)
 
 
+def _projections(tree: PartitionTree, cells: np.ndarray, cvec: np.ndarray) -> np.ndarray:
+    """cvec . center of each cell in the index array `cells`.
+
+    Decodes and projects _LEAF_BLOCK cells at a time, so the (n, 3) centers
+    are never held whole.
+    """
+    out = np.empty(cells.size)
+    for lo in range(0, cells.size, _LEAF_BLOCK):
+        centers = tree._cell_table(cells[lo : lo + _LEAF_BLOCK])[0]
+        np.matmul(centers, cvec, out=out[lo : lo + centers.shape[0]])
+    return out
+
+
 def tree_to_linear_histograms(
     tree: PartitionTree, coeffs: WitnessCoefficients
 ) -> Histogram1D:
@@ -325,12 +375,40 @@ def tree_to_linear_histograms(
     if tree.total_count <= 0:
         raise ValueError("tree holds no counts")
     cvec = np.asarray(coeffs.eta if tree.basis == "position" else coeffs.beta)
-    centers, sides, counts = tree._cell_table(tree.is_leaf & (tree.counts > 0))
-    coarse_first = np.argsort(-sides, kind="stable")
-    running = np.cumsum(counts[coarse_first])
-    kept = running > _COARSE_MASS_EXCLUDED * tree.total_count
-    width = float(np.abs(cvec).sum() * sides[coarse_first][kept][0])
-    return Histogram1D.of(centers @ cvec, width, weights=counts)
+    occupied = np.flatnonzero(tree.is_leaf & (tree.counts > 0))
+    counts = tree.counts[occupied]
+    # cells are stored depth by depth, so storage order is already coarsest first
+    first = np.argmax(np.cumsum(counts) > _COARSE_MASS_EXCLUDED * tree.total_count)
+    width = float(np.abs(cvec).sum() * tree.cell_side(int(tree.depths[occupied[first]])))
+    values = _projections(tree, occupied, cvec)
+    del occupied
+    return Histogram1D.of(values, width, weights=counts)
+
+
+def _on_two_threads(fn: Callable, worker_args: tuple, caller_args: tuple) -> tuple:
+    """(fn(*worker_args), fn(*caller_args)), the first on a new thread.
+
+    The worker is joined in a finally, so no thread outlives the call, and
+    an exception the worker raised is re-raised here.
+    """
+    outcome: list = []  # (the worker's result, the exception it raised)
+
+    def run() -> None:
+        try:
+            outcome.append((fn(*worker_args), None))
+        except BaseException as exc:  # re-raised on the calling thread
+            outcome.append((None, exc))
+
+    worker = threading.Thread(target=run, name="triphoton-scan-worker")
+    worker.start()
+    try:
+        mine = fn(*caller_args)
+    finally:
+        worker.join()
+    theirs, exc = outcome.pop()
+    if exc is not None:
+        raise exc
+    return theirs, mine
 
 
 def scan_pair(
@@ -347,39 +425,28 @@ def scan_pair(
     streams, so reports are reproducible bit for bit.  The exact
     entanglement value is attached when the state admits one.
 
-    The position basis is drawn and encoded on one worker thread while the
-    calling thread does the momentum basis; the two share no state.  Both
-    code buffers are allocated here, and the trees are built one after the
-    other once the worker has joined, so the build peaks never overlap.
-    The trees equal those of simulate_adaptive_scan on the same streams.
+    Each basis runs end to end (draw, encode, sort, refine, collapse to its
+    combination histogram) on its own thread: position on a worker thread,
+    momentum on the calling one.  The two share no state but a list of two
+    code buffers allocated here, from which each takes one and frees it
+    once its tree is built.  The trees equal those of
+    simulate_adaptive_scan on the same streams.
     """
     threshold = _checked_threshold(n_samples, threshold, max_depth)
     ss_x, ss_k, ss_boot = np.random.SeedSequence(seed).spawn(3)
-    buf_x = np.empty(n_samples, dtype=np.int64)
-    buf_k = np.empty(n_samples, dtype=np.int64)
-    done_x: list = []  # the worker's (codes, box), or the exception it raised
+    # both code buffers come from this thread's heap, where the memory they
+    # leave is reused by later work here; a worker thread's heap keeps it
+    buffers = [np.empty(n_samples, dtype=np.int64) for _ in _BASES]
 
-    def scan_x() -> None:
-        try:
-            done_x.append(_scan_codes(s, "position", max_depth, ss_x, buf_x))
-        except BaseException as exc:  # re-raised on the calling thread
-            done_x.append(exc)
+    def scan_basis(basis: str, stream: np.random.SeedSequence) -> tuple[PartitionTree, Histogram1D]:
+        codes, box = _scan_codes(s, basis, max_depth, stream, buffers.pop())
+        tree = _build_tree(codes, n_samples, basis, box, max_depth, threshold)
+        del codes  # the popped buffer goes as soon as the tree is built
+        return tree, tree_to_linear_histograms(tree, coeffs)
 
-    worker = threading.Thread(target=scan_x, name="triphoton-scan-position")
-    worker.start()
-    try:
-        codes_k, box_k = _scan_codes(s, "momentum", max_depth, ss_k, buf_k)
-    finally:
-        worker.join()
-    if isinstance(done_x[0], BaseException):
-        raise done_x[0]
-    codes_x, box_x = done_x.pop()
-    tree_x = _build_tree(codes_x, n_samples, "position", box_x, max_depth, threshold)
-    del codes_x, buf_x  # free each basis's codes once its tree is built
-    tree_k = _build_tree(codes_k, n_samples, "momentum", box_k, max_depth, threshold)
-    del codes_k, buf_k
-    hist_x = tree_to_linear_histograms(tree_x, coeffs)
-    hist_k = tree_to_linear_histograms(tree_k, coeffs)
+    (tree_x, hist_x), (tree_k, hist_k) = _on_two_threads(
+        scan_basis, ("position", ss_x), ("momentum", ss_k)
+    )
     try:
         exact = exact_e3f(s)
     except UnsupportedStateError:
@@ -410,3 +477,7 @@ def scan_pair(
     )
     return tree_x, tree_k, report
 
+
+def export_pair(tree_x: PartitionTree, tree_k: PartitionTree) -> tuple[bytes, bytes]:
+    """record_bytes() of both trees, the first on a worker thread."""
+    return _on_two_threads(PartitionTree.record_bytes, (tree_x,), (tree_k,))

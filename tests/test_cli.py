@@ -1,11 +1,13 @@
 """Command line interface, exercised in process through main()."""
 
+import hashlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
-from triphoton import cli
+from triphoton import cli, scan
 from triphoton.cli import main
 from triphoton.report import EntanglementReport
 from triphoton.scan import MAX_TREE_DEPTH
@@ -252,6 +254,52 @@ def test_simulate_failed_write_leaves_no_files(capsys, tmp_path, monkeypatch):
     assert code == 2 and "disk full" in err
     assert len(calls) == 2
     assert list(tmp_path.glob("run*")) == []
+
+
+@pytest.mark.parametrize("failing", ["position", "momentum"])
+def test_simulate_failed_export_leaves_no_files_or_threads(capsys, tmp_path, monkeypatch, failing):
+    real = scan.PartitionTree.record_bytes
+
+    def record_bytes(tree):
+        if tree.basis == failing:
+            raise OSError(f"{failing} export failed")
+        return real(tree)
+
+    monkeypatch.setattr(scan.PartitionTree, "record_bytes", record_bytes)
+    before = threading.active_count()
+    argv = ["simulate", "--sigma-u", "3", "--sigma-v", "1", "-n", "500", "--depth", "3"]
+    code, _, err = _run(capsys, argv + ["--out", str(tmp_path / "run")])
+    assert code == 2 and f"{failing} export failed" in err
+    assert list(tmp_path.glob("run*")) == []
+    assert threading.active_count() == before
+
+
+# sha256 of `simulate --out` files.  A change to the scan, the collapse or
+# the export must keep these bytes; one that moves them on purpose re-pins
+# them and says why.
+_PINNED_OUTPUTS = {
+    ("--sigma-u", "100", "--sigma-v", "1", "-n", "20000", "--depth", "12", "--threshold", "16", "--seed", "0"): {
+        ".json": "58fb3c6958c9f58be072c4f5073933c5cae3482347af6432b40b38c15eb0819f",
+        "_position.csv": "a8cabe6dd833aaf9935decea475b55b4c9a9e5d2f67416c9402a1a4ec2565dfc",
+        "_momentum.csv": "8f5e1a75c7a876bfb19fd7e18e46ff88cb94c9865fac6aabeafb84ae92d1baf3",
+    },
+    ("--sigma-u", "1", "--sigma-v", "1", "-n", "5000", "--depth", "20", "--threshold", "1"): {
+        ".json": "44fca1bdd541990971163c62d69521e693b0442452ab965e18b29226ed8ea54e",
+        "_position.csv": "8cbc41bbc7bfd1f724ce51c31a028cb3deb4ba292fbe7969d0bf1d706ef4dfd4",
+        "_momentum.csv": "9e242a1327bbefe0cb6943541aa8c9b9dd987ed26fd8a8f6a8719b982b4dc0b4",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_OUTPUTS))
+def test_simulate_out_bytes_are_pinned(capsys, tmp_path, args):
+    code, _, _ = _run(capsys, ["simulate", *args, "--out", str(tmp_path / "run")])
+    assert code == 0
+    got = {
+        suffix: hashlib.sha256((tmp_path / f"run{suffix}").read_bytes()).hexdigest()
+        for suffix in _PINNED_OUTPUTS[args]
+    }
+    assert got == _PINNED_OUTPUTS[args]
 
 
 def test_simulate_stdout_report(capsys):

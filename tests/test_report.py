@@ -3,8 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from triphoton.report import EntanglementReport, json_dumps
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def _report(**overrides):
@@ -25,6 +29,28 @@ def test_round_trip_is_lossless_and_stable():
     back = EntanglementReport.from_json(rep.to_json())
     assert back == rep
     assert back.to_json() == rep.to_json()
+
+
+@given(
+    inputs=st.dictionaries(st.text(), _FINITE | st.integers() | st.text() | st.none(), max_size=5),
+    witness=_FINITE,
+    entropy_x=_FINITE,
+    entropy_k=_FINITE,
+    exact=st.none() | _FINITE,
+    bootstrap_se=st.none() | _FINITE,
+)
+def test_round_trip_property(inputs, witness, entropy_x, entropy_k, exact, bootstrap_se):
+    if exact is not None and bootstrap_se is None:
+        exact = max(exact, witness)  # without sampling error the witness stays <= exact
+    rep = EntanglementReport(
+        inputs=inputs,
+        witness_gebits=witness,
+        entropy_x_bits=entropy_x,
+        entropy_k_bits=entropy_k,
+        exact_e3f_gebits=exact,
+        bootstrap_se=bootstrap_se,
+    )
+    assert EntanglementReport.from_json(rep.to_json()) == rep
 
 
 def test_from_dict_takes_exactly_the_report_fields():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 import threading
 
 import numpy as np
@@ -15,12 +16,15 @@ from triphoton.entropy import Histogram1D, differential_entropy_from_histogram
 from triphoton.scan import (
     _BOX_WIDTHS,
     _DRAW_CHUNK,
+    _LEAF_BLOCK,
     MAX_TREE_DEPTH,
     _build_tree,
     _cell_codes,
     _compact_by_3,
+    _projections,
     _split_by_3,
     default_threshold,
+    export_pair,
     scan_pair,
     simulate_adaptive_scan,
     tree_to_linear_histograms,
@@ -213,20 +217,65 @@ def test_scan_pair_equals_sequential_scans(n, max_depth):
     assert got[2].to_json() == want[2].to_json()
 
 
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_scan_pair_raises_either_basis_error_and_joins(monkeypatch, failing):
-    def draw(src, n, rng):
+@pytest.mark.parametrize(
+    "failing, stage",
+    [
+        pytest.param("worker", "_draw", id="worker"),
+        pytest.param("caller", "_draw", id="caller"),
+        pytest.param("worker", "_build_tree", id="worker-build"),
+        pytest.param("caller", "_build_tree", id="caller-build"),
+        pytest.param("worker", "tree_to_linear_histograms", id="worker-collapse"),
+        pytest.param("caller", "tree_to_linear_histograms", id="caller-collapse"),
+    ],
+)
+def test_scan_pair_raises_either_basis_error_and_joins(monkeypatch, failing, stage):
+    real = getattr(scan, stage)
+
+    def fail_on_one_thread(*args, **kwargs):
         on_worker = threading.current_thread() is not threading.main_thread()
         if on_worker == (failing == "worker"):
-            raise RuntimeError(f"{failing} draw failed")
-        return _draw(src, n, rng)
+            raise RuntimeError(f"{failing} {stage} failed")
+        return real(*args, **kwargs)
 
     before = threading.active_count()
-    monkeypatch.setattr(scan, "_draw", draw)
-    with pytest.raises(RuntimeError, match=f"{failing} draw failed"):
+    monkeypatch.setattr(scan, stage, fail_on_one_thread)
+    with pytest.raises(RuntimeError, match=f"{failing} {stage} failed"):
         scan_pair(TripleGaussianState(5.0, 1.0, 1.0), n_samples=200_000, seed=3)
     # the worker was joined before the error reached the caller
     assert threading.active_count() == before
+
+
+def test_concurrent_scan_pairs_under_fast_switching():
+    # four scan_pair calls at once start eight threads on fewer cores; a
+    # buffer handed to both bases of a call, or state shared between calls,
+    # would change their trees
+    s = TripleGaussianState(5.0, 1.0, 1.0)
+    want = [scan_pair(s, n_samples=3000, threshold=4, max_depth=8, seed=i) for i in range(4)]
+    got = [None] * 4
+
+    def run(i):
+        got[i] = scan_pair(s, n_samples=3000, threshold=4, max_depth=8, seed=i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (tree_x, tree_k, report), (want_x, want_k, want_report) in zip(got, want):
+        _assert_same_tree(tree_x, want_x)
+        _assert_same_tree(tree_k, want_k)
+        assert report == want_report
+
+
+def test_export_pair_is_record_bytes_of_each_tree():
+    tree_x, tree_k, _ = scan_pair(TripleGaussianState(5.0, 1.0, 1.0), n_samples=20_000, seed=4)
+    assert export_pair(tree_x, tree_k) == (tree_x.record_bytes(), tree_k.record_bytes())
 
 
 def test_collapse_equals_all_leaf_decode():
@@ -245,6 +294,65 @@ def test_collapse_equals_all_leaf_decode():
         got = tree_to_linear_histograms(tree, SPDC_COEFFICIENTS)
         assert (got.bin_width, got.origin) == (want.bin_width, want.origin)
         assert np.array_equal(got.counts, want.counts)
+
+
+def _stack_decode(tree, sel):
+    """Cell centers decoded through one np.stack of shifted codes and
+    whole-array temporaries, the reference for the in-place decode."""
+    codes, depths = tree.codes[sel], tree.depths[sel]
+    sides = 2.0 * tree.box_halfwidth / np.exp2(depths.astype(float))
+    g = _compact_by_3(np.stack([codes >> 2, codes >> 1, codes], axis=1))
+    return -tree.box_halfwidth + (g + 0.5) * sides[:, None], sides
+
+
+def _threshold_one_tree(n, basis="position"):
+    s = TripleGaussianState(3.0, 1.0, 1.0)
+    return simulate_adaptive_scan(s, basis, n, threshold=1, max_depth=MAX_TREE_DEPTH, seed=6)
+
+
+def test_cell_table_equals_stack_decode():
+    s = TripleGaussianState(20.0, 1.0, 1.0)
+    trees = [
+        simulate_adaptive_scan(s, "momentum", 50_000, threshold=16, max_depth=10, seed=2),
+        _threshold_one_tree(3000),
+    ]
+    for tree in trees:
+        occupied = tree.is_leaf & (tree.counts > 0)
+        for sel in (tree.is_leaf, occupied, np.flatnonzero(occupied), np.ones(tree.n_cells, bool)):
+            centers, sides, counts = tree._cell_table(sel)
+            want_centers, want_sides = _stack_decode(tree, sel)
+            assert centers.tobytes() == want_centers.tobytes()
+            assert sides.tobytes() == want_sides.tobytes()
+            assert np.array_equal(counts, tree.counts[sel])
+
+
+def _occupied(tree):
+    return np.flatnonzero(tree.is_leaf & (tree.counts > 0))
+
+
+# Not dyadic, unlike the SPDC coefficients, so that any change in how a
+# center's three products are summed changes the rounded projection
+_ROUGH_CVEC = np.array([0.8173, -0.3391, -0.4782])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_blockwise_projection_equals_whole_array(monkeypatch, offset):
+    # m occupied leaves against a block of m - offset: m is B + offset
+    tree = simulate_adaptive_scan(TripleGaussianState(8.0, 1.0, 1.0), "position", 30_000, 16, 9, 5)
+    occupied = _occupied(tree)
+    monkeypatch.setattr(scan, "_LEAF_BLOCK", occupied.size - offset)
+    for cvec in (np.asarray(SPDC_COEFFICIENTS.eta), _ROUGH_CVEC):
+        want = _stack_decode(tree, occupied)[0] @ cvec
+        assert _projections(tree, occupied, cvec).tobytes() == want.tobytes()
+
+
+def test_blockwise_projection_on_threshold_one_tree():
+    tree = _threshold_one_tree(3 * _LEAF_BLOCK + 100, "momentum")
+    occupied = _occupied(tree)
+    assert occupied.size > 3 * _LEAF_BLOCK  # every sample has a leaf of its own
+    for cvec in (np.asarray(SPDC_COEFFICIENTS.beta), _ROUGH_CVEC):
+        want = _stack_decode(tree, occupied)[0] @ cvec
+        assert _projections(tree, occupied, cvec).tobytes() == want.tobytes()
 
 
 def test_cell_codes_box_faces():
@@ -290,6 +398,8 @@ def test_tree_invariants(n, spread, max_depth, threshold, seed):
         if not is_leaf:
             assert k >= threshold
             assert sum(cells[(int(d) + 1, (int(c) << 3) + o)] for o in range(8)) == k
+    # cells are stored depth by depth, so storage order is coarsest first
+    assert (np.diff(tree.depths) >= 0).all()
     # sample order makes no difference
     shuffled = _build_tree(rng.permutation(codes), n, "position", 1.0, max_depth, threshold)
     _assert_same_tree(shuffled, tree)
@@ -425,6 +535,24 @@ def test_record_bytes_matches_per_leaf_join():
     for tree in trees:
         assert tree.record_bytes() == _joined_records(tree)
         assert tree.record_lines() == _joined_records(tree).decode().splitlines()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_blockwise_record_bytes_across_block_boundaries(monkeypatch, offset):
+    # n_leaves leaves against a block of n_leaves - offset, and against a
+    # block that splits them into many parts
+    tree = simulate_adaptive_scan(TripleGaussianState(2.0, 1.0, 1.0), "position", 5000, 10, 5, seed=3)
+    want = _joined_records(tree)
+    for block in (tree.n_leaves - offset, 7):
+        monkeypatch.setattr(scan, "_LEAF_BLOCK", block)
+        assert tree.record_bytes() == want
+
+
+def test_record_bytes_on_more_leaves_than_a_block():
+    codes = np.random.default_rng(1).integers(0, 8**5, size=100_000)
+    tree = _build_tree(codes, codes.size, "position", 1.0, 5, 1)
+    assert tree.n_leaves > _LEAF_BLOCK
+    assert tree.record_bytes() == _joined_records(tree)
 
 
 def test_record_and_parameter_validation():

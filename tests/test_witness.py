@@ -349,6 +349,19 @@ def test_sample_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, xs.values)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3), min_size=1, max_size=20
+    )
+)
+def test_sample_csv_repr_round_trip(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("samples") / "samples.csv"
+    for header, load in (("x1,x2,x3", load_position_samples), ("k1,k2,k3", load_momentum_samples)):
+        path.write_text("\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n")
+        assert load(path).values.tobytes() == np.array(rows, dtype=float).tobytes()
+
+
 def test_sample_csv_error_cases(tmp_path):
     p = tmp_path / "bad.csv"
     for text in (
