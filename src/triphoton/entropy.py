@@ -115,13 +115,29 @@ class Histogram1D:
         object.__setattr__(self, "counts", c.astype(np.int64))
 
     @classmethod
-    def of(cls, values: np.ndarray, bin_width: float, weights=None) -> "Histogram1D":
+    def of(
+        cls,
+        values: np.ndarray,
+        bin_width: float,
+        weights=None,
+        *,
+        work: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> "Histogram1D":
         """Histogram of values at bin_width, with bin 0 centred on the smallest.
 
-        weights, when given, are integer counts per value.
+        weights, when given, are integer counts per value.  work, when given,
+        is a float64 and an int64 array shaped like values that receive the
+        scaled values and the bin indices, so that the call allocates
+        nothing the size of values.
         """
         origin = float(values.min()) - 0.5 * bin_width
-        idx = np.floor((values - origin) / bin_width).astype(np.int64)
+        if work is None:
+            work = (np.empty(values.shape), np.empty(values.shape, dtype=np.int64))
+        scaled, idx = work
+        np.subtract(values, origin, out=scaled)
+        scaled /= bin_width
+        # values - origin >= 0, so the truncating cast is the floor
+        np.copyto(idx, scaled, casting="unsafe")
         return cls(bin_width=bin_width, counts=np.bincount(idx, weights=weights), origin=origin)
 
     @property

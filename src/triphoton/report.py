@@ -1,12 +1,14 @@
 """Entanglement report record and its JSON form.
 
-JSON output writes every float with 17 significant digits so a parse ->
-serialize round trip is lossless and byte-identical run to run.
+JSON output writes every float with 17 significant digits, and a negative
+zero as -0.0, so a parse -> serialize round trip is lossless and
+byte-identical run to run.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -19,6 +21,8 @@ def _format_scalar(obj: Any) -> str:
     if isinstance(obj, float):
         if obj != obj or obj in (float("inf"), float("-inf")):
             raise ValueError(f"non-finite value {obj!r} cannot go in a report")
+        if obj == 0.0 and math.copysign(1.0, obj) < 0.0:
+            return "-0.0"  # "-0" would parse back as the integer 0
         return format(obj, ".17g")
     if isinstance(obj, int):
         return str(obj)

@@ -7,7 +7,7 @@ counts is split into 8 half-size children (up to max_depth).  Fine cells
 therefore appear only where the distribution concentrates, which is what
 makes the scheme affordable for strongly correlated sources.
 
-Each basis is drawn in chunks of _DRAW_CHUNK rows from one generator, so
+Each basis is drawn in chunks of _DRAW_CHUNK rows (states.chunk_bounds), so
 the stream is that of a single draw; each chunk is box-filtered, quantised
 and Morton-encoded while it is small, and only its int64 cell codes are
 kept.  The codes are sorted once and the tree is refined from that array,
@@ -34,18 +34,20 @@ import numpy as np
 
 from .entropy import Histogram1D
 from .report import EntanglementReport
-from .states import TripleGaussianState, UnsupportedStateError, _draw, exact_e3f, to_momentum
+from .states import (
+    TripleGaussianState,
+    UnsupportedStateError,
+    _draw,
+    chunk_bounds,
+    exact_e3f,
+    to_momentum,
+)
 from .witness import SPDC_COEFFICIENTS, WitnessCoefficients, histogram_report
 
 _BASES = ("position", "momentum")
 _BOX_WIDTHS = 6.0  # box half-side in units of the largest marginal width
 MAX_TREE_DEPTH = 20  # 3 bits per level in a signed 64-bit interleaved code
 _COARSE_MASS_EXCLUDED = 0.01  # tail counts allowed coarser than the bin width
-# Rows drawn and encoded at a time.  A chunk's float temporaries stay in the
-# L2 cache, and its (k, 3) @ (3, 3) rotation (m*n*k = 147k) stays below the
-# size at which OpenBLAS starts threads, which on a busy host cost up to
-# 0.4 s per 1M-row call.
-_DRAW_CHUNK = 16384
 # Leaves decoded, projected or written at a time by the collapse and the
 # export, so their per-leaf temporaries stay O(block) beside the tree.
 _LEAF_BLOCK = 16384
@@ -313,8 +315,8 @@ def _scan_codes(
     rng = np.random.default_rng(seed)
     box = _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)
     n_samples, n_kept = out.size, 0
-    for start in range(0, n_samples, _DRAW_CHUNK):
-        codes = _cell_codes(_draw(src, min(_DRAW_CHUNK, n_samples - start), rng), box, max_depth)
+    for start, stop in chunk_bounds(n_samples):
+        codes = _cell_codes(_draw(src, stop - start, rng), box, max_depth)
         out[n_kept : n_kept + codes.size] = codes
         n_kept += codes.size
     return out[:n_kept], box

@@ -24,7 +24,7 @@ Geometry and conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,11 @@ _REQUIRED_KEYS = (
     "pump_power",
 )
 _OPTIONAL_KEYS = ("qpm_order", "qpm_period")
+
+
+def _check_positive(name: str, val) -> None:
+    if not np.isfinite(val) or val <= 0.0:
+        raise ConfigError(f"{name} must be positive and finite, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -105,9 +110,7 @@ class SpdcConfig:
             "chi3_eff",
         )
         for name in positive:
-            val = getattr(self, name)
-            if not np.isfinite(val) or val <= 0.0:
-                raise ConfigError(f"{name} must be positive and finite, got {val!r}")
+            _check_positive(name, getattr(self, name))
         if not np.isfinite(self.pump_power) or self.pump_power < 0.0:
             raise ConfigError(
                 f"pump_power must be nonnegative and finite, got {self.pump_power!r}"
@@ -195,16 +198,24 @@ def triphoton_momentum_amplitude(c: SpdcConfig, ku, kv, kw):
     return pump * _sinc(geom.a * (4.0 * ku**2 + kv**2 + kw**2))
 
 
+def _fit_widths(sigma_p: float, a: float) -> TripleGaussianState:
+    sigma_ku = 1.0 / (2.0 * math.sqrt(32.0 * a / 9.0 + 3.0 * sigma_p**2))
+    sigma_kv = 3.0 / math.sqrt(32.0 * a)
+    return TripleGaussianState(sigma_u=sigma_ku, sigma_v=sigma_kv, sigma_w=sigma_kv)
+
+
 def gaussian_fit_widths(c: SpdcConfig) -> TripleGaussianState:
     """Momentum-representation widths of the Gaussian surrogate state.
 
     sigma_ku = 1/(2 sqrt(32a/9 + 3 sigma_p^2)), sigma_kv = sigma_kw = 3/sqrt(32a).
     Position widths are the 1/(2 sigma) duals (states.to_momentum).
     """
-    geom = phase_match_geometry(c)
-    sigma_ku = 1.0 / (2.0 * math.sqrt(32.0 * geom.a / 9.0 + 3.0 * c.sigma_p**2))
-    sigma_kv = 3.0 / math.sqrt(32.0 * geom.a)
-    return TripleGaussianState(sigma_u=sigma_ku, sigma_v=sigma_kv, sigma_w=sigma_kv)
+    return _fit_widths(c.sigma_p, phase_match_geometry(c).a)
+
+
+def _witness_gebits(sigma_p: float, k_p: float, L_z: float) -> float:
+    corr = 18.0 * sigma_p**2 * k_p / L_z
+    return float(0.5 * math.log2(16.0 + corr) - _LOG2_3SQRT2E)
 
 
 def closed_form_witness(c: SpdcConfig) -> float:
@@ -214,18 +225,24 @@ def closed_form_witness(c: SpdcConfig) -> float:
     lower bound on exact_e3f of the fitted widths; tends to the exact curve
     minus (2/ln2 - 1) as sigma_p grows.
     """
-    k_p = pump_wavenumber(c.lambda_p, c.n_p)
-    corr = 18.0 * c.sigma_p**2 * k_p / c.L_z
-    return float(0.5 * math.log2(16.0 + corr) - _LOG2_3SQRT2E)
+    return _witness_gebits(c.sigma_p, pump_wavenumber(c.lambda_p, c.n_p), c.L_z)
 
 
 def witness_sweep(c: SpdcConfig, sigma_p_values) -> list[tuple[float, float, float]]:
-    """Rows (sigma_p, witness gebits, exact gebits) across pump widths."""
-    rows = []
-    for sp in np.asarray(sigma_p_values, dtype=float):
-        ci = replace(c, sigma_p=float(sp))
-        rows.append((float(sp), closed_form_witness(ci), exact_e3f(gaussian_fit_widths(ci))))
-    return rows
+    """Rows (sigma_p, witness gebits, exact gebits) across pump widths.
+
+    Each row equals closed_form_witness and exact_e3f(gaussian_fit_widths)
+    of c with sigma_p replaced; a sigma_p that SpdcConfig would reject
+    raises the same ConfigError, before any row is computed.
+    """
+    sigma_ps = [float(sp) for sp in np.asarray(sigma_p_values, dtype=float)]
+    for sp in sigma_ps:
+        _check_positive("sigma_p", sp)
+    geom = phase_match_geometry(c)
+    return [
+        (sp, _witness_gebits(sp, geom.k_p, c.L_z), exact_e3f(_fit_widths(sp, geom.a)))
+        for sp in sigma_ps
+    ]
 
 
 def triplet_rate(c: SpdcConfig) -> float:

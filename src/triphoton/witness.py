@@ -6,9 +6,11 @@ Continuous form, for linear combinations of the three photon positions
     E3F >= log2(2 pi |eta-bar||beta-bar|) - h(eta.x) - h(beta.k)   [gebits]
 
 with |eta-bar||beta-bar| = min_i |eta_i|*|beta_i| over the three parties.
-Histogram entropy estimates only ever over-estimate h, so a witness built
-from measured or simulated samples under-estimates the entanglement and
-never falsely certifies it.
+In the large-sample limit histogram entropy estimates over-estimate h, so a
+witness built from measured or simulated samples under-estimates the
+entanglement.  With few samples per occupied bin the plug-in estimate is
+biased low instead, and the witness can then certify entanglement that the
+state does not hold (ROADMAP item 1 gives reproducers).
 
 Discrete form, for three-party outcome tables Q (one basis) and R (a second
 basis per party, inverse overlap Omega_i):
@@ -151,6 +153,56 @@ def histogram_report(
     )
 
 
+_BINS_PER_SIGMA = 8  # self-scaling histogram resolution for the objective
+
+
+def _sd(values: np.ndarray, scratch: np.ndarray) -> float:
+    """values.std(), bit for bit: numpy's two passes, with the deviations in scratch."""
+    n = values.size
+    np.subtract(values, np.add.reduce(values) / n, out=scratch)
+    np.square(scratch, out=scratch)
+    return math.sqrt(np.add.reduce(scratch) / n)
+
+
+class _Workspace:
+    """Projection, scratch and bin-index arrays for the larger of some sample sets.
+
+    Every combination histogram taken through one workspace reuses these
+    three arrays, so none allocates an array the size of its sample set.
+    """
+
+    def __init__(self, *sample_sets: SampleSet):
+        n = max(len(s) for s in sample_sets)
+        self._projection = np.empty(n)
+        self._scratch = np.empty(n)
+        self._idx = np.empty(n, dtype=np.int64)
+
+    def histogram(
+        self, samples: SampleSet, coeffs: tuple[float, float, float], bin_width: float | None = None
+    ) -> Histogram1D | None:
+        """Histogram of samples @ coeffs at bin_width.
+
+        Without bin_width the bins are sd/8 of the combination, and a
+        zero-variance combination gives None.
+        """
+        n = len(samples)
+        values = np.matmul(samples.values, np.asarray(coeffs), out=self._projection[:n])
+        if bin_width is None:
+            sd = _sd(values, self._scratch[:n])
+            if sd == 0.0:
+                return None
+            bin_width = sd / _BINS_PER_SIGMA
+        return Histogram1D.of(values, bin_width, work=(self._scratch[:n], self._idx[:n]))
+
+    def entropy(self, samples: SampleSet, coeffs: tuple[float, float, float]) -> float:
+        """Histogram entropy (bits) of samples @ coeffs at bins of sd/8.
+
+        A zero-variance combination is a point mass: its entropy is -inf.
+        """
+        hist = self.histogram(samples, coeffs)
+        return -math.inf if hist is None else differential_entropy_from_histogram(hist)
+
+
 def witness_from_samples(
     samples_x: SampleSet,
     samples_k: SampleSet,
@@ -161,7 +213,10 @@ def witness_from_samples(
     """Estimate the witness from position and momentum sample sets.
 
     Histograms the two linear combinations at the given widths and applies
-    the continuous witness to the (over-estimated) histogram entropies.
+    the continuous witness to the histogram entropies.  Those over-estimate
+    the true entropies only in the large-sample limit: with few samples per
+    occupied bin they fall below them, and the witness can then exceed the
+    state's entanglement (ROADMAP item 1).
     """
     if samples_x.kind != "position":
         raise ValueError(f"samples_x must be position samples, got {samples_x.kind!r}")
@@ -173,9 +228,10 @@ def witness_from_samples(
         if not np.isfinite(w) or w <= 0.0:
             raise ValueError(f"{name} must be positive, got {w!r}")
 
+    work = _Workspace(samples_x, samples_k)
     return histogram_report(
-        Histogram1D.of(samples_x.values @ np.asarray(coeffs.eta), bin_width_x),
-        Histogram1D.of(samples_k.values @ np.asarray(coeffs.beta), bin_width_k),
+        work.histogram(samples_x, coeffs.eta, bin_width_x),
+        work.histogram(samples_k, coeffs.beta, bin_width_k),
         coeffs,
         {
             "eta": list(coeffs.eta),
@@ -193,19 +249,6 @@ def witness_from_samples(
 
 _MAG_LO, _MAG_HI = 1.0 / 8.0, 8.0  # magnitude ratio search range per coordinate
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_BINS_PER_SIGMA = 8  # self-scaling histogram resolution for the objective
-
-
-def _combination_entropy(samples: SampleSet, coeffs: tuple[float, float, float]) -> float:
-    """Histogram entropy (bits) of samples @ coeffs at bins of sd/8.
-
-    A zero-variance combination is a point mass: its entropy is -inf.
-    """
-    values = samples.values @ np.asarray(coeffs)
-    sd = float(values.std())
-    if sd == 0.0:
-        return -math.inf
-    return differential_entropy_from_histogram(Histogram1D.of(values, sd / _BINS_PER_SIGMA))
 
 
 def _objective(coeffs: WitnessCoefficients, h_x: float, h_k: float) -> float:
@@ -222,10 +265,9 @@ def sampled_witness_objective(
     This is the objective optimize_coefficients maximizes; -inf marks a
     degenerate (zero-variance) combination.
     """
+    work = _Workspace(samples_x, samples_k)
     return _objective(
-        coeffs,
-        _combination_entropy(samples_x, coeffs.eta),
-        _combination_entropy(samples_k, coeffs.beta),
+        coeffs, work.entropy(samples_x, coeffs.eta), work.entropy(samples_k, coeffs.beta)
     )
 
 
@@ -262,7 +304,8 @@ def optimize_coefficients(
 
     The objective is sampled_witness_objective.  Its two entropy terms
     depend only on eta and only on beta, so each is computed once per
-    distinct vector, in a memo local to this call.
+    distinct vector, in a memo local to this call, and every one of them is
+    taken through one workspace sized to the larger sample set.
     """
     eta0 = np.abs(np.asarray(init.eta))
     beta0 = np.abs(np.asarray(init.beta))
@@ -274,25 +317,28 @@ def optimize_coefficients(
             beta=(beta0[0], signs_b[0] * beta0[0] * b2, signs_b[1] * beta0[0] * b3),
         )
 
+    work = _Workspace(samples_x, samples_k)
     h_x_memo: dict[tuple[float, float, float], float] = {}
     h_k_memo: dict[tuple[float, float, float], float] = {}
+    # a local, not an attribute of score: score referring to itself would be a
+    # reference cycle, and the workspace would live on until the collector ran
+    warned = False
 
     def score(c: WitnessCoefficients) -> float:
+        nonlocal warned
         if c.eta not in h_x_memo:
-            h_x_memo[c.eta] = _combination_entropy(samples_x, c.eta)
+            h_x_memo[c.eta] = work.entropy(samples_x, c.eta)
         if c.beta not in h_k_memo:
-            h_k_memo[c.beta] = _combination_entropy(samples_k, c.beta)
+            h_k_memo[c.beta] = work.entropy(samples_k, c.beta)
         val = _objective(c, h_x_memo[c.eta], h_k_memo[c.beta])
-        if val == -math.inf and not score.warned:
+        if val == -math.inf and not warned:
             warnings.warn(
                 "degenerate (zero-variance) combination met during coefficient "
                 "search; affected axis left at its initial value",
                 RuntimeWarning,
             )
-            score.warned = True
+            warned = True
         return val
-
-    score.warned = False
 
     init_mags = np.array(
         [eta0[1] / eta0[0], eta0[2] / eta0[0], beta0[1] / beta0[0], beta0[2] / beta0[0]]

@@ -50,7 +50,24 @@ def test_round_trip_property(inputs, witness, entropy_x, entropy_k, exact, boots
         exact_e3f_gebits=exact,
         bootstrap_se=bootstrap_se,
     )
-    assert EntanglementReport.from_json(rep.to_json()) == rep
+    back = EntanglementReport.from_json(rep.to_json())
+    assert back == rep
+    assert back.to_json() == rep.to_json()
+
+
+def test_signed_zeros_survive_a_parse_byte_for_byte():
+    rep = _report(
+        inputs={"sigma_u": -0.0, "eta": [0.0, -0.0]},
+        witness_gebits=-0.0,
+        entropy_x_bits=-0.0,
+        entropy_k_bits=0.0,
+        exact_e3f_gebits=-0.0,
+    )
+    text = rep.to_json()
+    assert '"witness_gebits": -0.0,' in text
+    again = EntanglementReport.from_json(text).to_json()
+    assert again == text
+    assert EntanglementReport.from_json(again).to_json() == text
 
 
 def test_from_dict_takes_exactly_the_report_fields():

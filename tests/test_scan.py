@@ -15,7 +15,6 @@ from triphoton import scan
 from triphoton.entropy import Histogram1D, differential_entropy_from_histogram
 from triphoton.scan import (
     _BOX_WIDTHS,
-    _DRAW_CHUNK,
     _LEAF_BLOCK,
     MAX_TREE_DEPTH,
     _build_tree,
@@ -30,6 +29,7 @@ from triphoton.scan import (
     tree_to_linear_histograms,
 )
 from triphoton.states import (
+    _DRAW_CHUNK,
     TripleGaussianState,
     _draw,
     exact_e3f,

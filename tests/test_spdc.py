@@ -223,9 +223,23 @@ def test_witness_sweep_monotone_and_conservative():
     assert all(b >= a for a, b in zip(wits, wits[1:]))
     for _, wit, exact in rows:
         assert wit <= exact + 1e-9
-    for bad in (-1.0, 0.0, math.nan):
-        with pytest.raises(ValueError):
-            witness_sweep(cfg, [bad])
+    for bad in ([-1.0], [0.0], [math.nan], [1e-5, 2e-5, -3e-5, math.inf]):
+        with pytest.raises(ConfigError) as per_point:
+            for sp in bad:
+                replace(cfg, sigma_p=sp)
+        with pytest.raises(ConfigError) as swept:
+            witness_sweep(cfg, bad)
+        assert str(swept.value) == str(per_point.value)
+
+
+def test_witness_sweep_rows_equal_per_point_config_rows():
+    cfg = load_config(FIG1)
+    grid = np.geomspace(1e-7, 1e-1, 1000)
+    want = []
+    for sp in grid:
+        point = replace(cfg, sigma_p=float(sp))
+        want.append((float(sp), closed_form_witness(point), exact_e3f(gaussian_fit_widths(point))))
+    assert witness_sweep(cfg, grid) == want
 
 
 def test_joint_spectral_amplitude_shape():

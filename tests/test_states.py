@@ -5,10 +5,12 @@ import pytest
 
 from triphoton.entropy import binary_entropy
 from triphoton.states import (
+    _DRAW_CHUNK,
     ROTATION_UVW,
     SampleSet,
     TripleGaussianState,
     UnsupportedStateError,
+    _draw,
     birth_zone,
     exact_e3f,
     mancini_bound,
@@ -162,6 +164,15 @@ def test_sampling_is_deterministic_per_seed():
     c = sample_positions(s, 1000, 8).values
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("n", [1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5])
+def test_chunked_sampling_equals_one_shot_draw(n):
+    s = TripleGaussianState(5.0, 0.7, 0.7)
+    x = sample_positions(s, n, 21).values
+    k = sample_momenta(s, n, 22).values
+    assert np.array_equal(x, _draw(s, n, np.random.default_rng(21)))
+    assert np.array_equal(k, _draw(to_momentum(s), n, np.random.default_rng(22)))
 
 
 def test_sampled_rotated_widths_match_state():

@@ -1,6 +1,8 @@
 """Entropic witness evaluation, coefficient search, discrete variant."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triphoton import witness
-from triphoton.entropy import DiscretePMF, gaussian_differential_entropy, shannon_entropy
+from triphoton.entropy import (
+    DiscretePMF,
+    Histogram1D,
+    differential_entropy_from_histogram,
+    gaussian_differential_entropy,
+    shannon_entropy,
+)
 from triphoton.states import (
     SampleSet,
     TripleGaussianState,
@@ -128,6 +136,78 @@ def test_objective_degenerate_is_minus_infinity():
     flat = SampleSet(values=np.zeros((10, 3)), kind="position")
     ks = sample_momenta(TripleGaussianState(2.0, 1.0, 1.0), 10, 0)
     assert sampled_witness_objective(flat, ks, SPDC_COEFFICIENTS) == -math.inf
+
+
+def _reference_entropy(samples, coeffs):
+    """The self-scaling objective entropy written out: project, sd, floor-bin."""
+    values = samples.values @ np.asarray(coeffs)
+    sd = float(values.std())
+    if sd == 0.0:
+        return -math.inf
+    width = sd / 8
+    origin = float(values.min()) - 0.5 * width
+    idx = np.floor((values - origin) / width).astype(np.int64)
+    return differential_entropy_from_histogram(Histogram1D(width, np.bincount(idx), origin))
+
+
+def test_workspace_entropy_equals_reference_path():
+    s = TripleGaussianState(10.0, 1.0, 1.0)
+    big = sample_positions(s, 30_000, 5)
+    small = sample_momenta(s, 7_001, 6)
+    work = witness._Workspace(big, small)
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        coeffs = tuple(rng.uniform(0.1, 3.0, 3) * rng.choice([-1.0, 1.0], 3))
+        for samples in (big, small):
+            assert work.entropy(samples, coeffs) == _reference_entropy(samples, coeffs)
+    flat = SampleSet(values=np.tile([1.0, 2.0, 4.0], (64, 1)), kind="position")
+    for coeffs in ((1.0, 1.0, 1.0), (1.0, -0.5, -0.5), (-2.0, 1.0, 0.25)):
+        assert _reference_entropy(flat, coeffs) == -math.inf
+        assert work.entropy(flat, coeffs) == -math.inf
+
+
+def test_optimizer_returns_pinned_coefficients():
+    # recorded before the search ran on a preallocated workspace
+    pins = {
+        (10.0, 3, 4): (
+            (1.0, -0.5004058760127472, -0.5006285300367548),
+            (1.0, 1.000805061302655, 1.0003599542806283),
+        ),
+        (100.0, 5, 6): ((1.0, -0.4999083646903032, -0.5), (1.0, 1.0000849619984356, 1.0)),
+    }
+    for (ratio, seed_x, seed_k), (eta, beta) in pins.items():
+        s = TripleGaussianState(ratio, 1.0, 1.0)
+        best = optimize_coefficients(
+            sample_positions(s, 20_000, seed_x), sample_momenta(s, 20_000, seed_k)
+        )
+        assert best == WitnessCoefficients(eta=eta, beta=beta)
+
+
+def _traced_memory(fn) -> tuple[int, int]:
+    """(current, peak) bytes traced over fn(), with the cyclic collector off."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_coefficient_search_allocates_no_sample_sized_arrays():
+    n = 50_000
+    column = n * 8  # bytes of one float per sample
+    s = TripleGaussianState(10.0, 1.0, 1.0)
+    xs, ks = sample_positions(s, n, 7), sample_momenta(s, n, 8)
+    current, peak = _traced_memory(lambda: optimize_coefficients(xs, ks))
+    assert peak < 4 * column
+    # the workspace is freed on return, not left in a cycle for the collector
+    assert current < column / 8
+    # past the workspace's own three arrays, an evaluation allocates only bins
+    work = witness._Workspace(xs, ks)
+    assert _traced_memory(lambda: work.entropy(xs, (1.0, -0.7, -0.2)))[1] < column / 8
+    assert _traced_memory(lambda: work.histogram(ks, (1.0, 1.0, 1.0), 0.01))[1] < column / 8
 
 
 def test_optimizer_recovers_sign_pattern_from_unsigned_start():
