@@ -74,9 +74,9 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> TripleGaussianState:
     """Triple-Gaussian state from either --config or explicit widths."""
-    have_widths = args.sigma_u is not None or args.sigma_v is not None
+    have_widths = any(w is not None for w in (args.sigma_u, args.sigma_v, args.sigma_w))
     if args.config is not None and have_widths:
-        parser.error("give either --config or --sigma-u/--sigma-v, not both")
+        parser.error("give either --config or --sigma-u/--sigma-v/--sigma-w, not both")
     if args.config is not None:
         cfg = load_config(args.config)
         return to_momentum(gaussian_fit_widths(cfg))
@@ -252,10 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any
 
 from . import __version__
@@ -51,9 +51,9 @@ def json_dumps(obj: Any, indent: int = 2, _level: int = 0) -> str:
     return _format_scalar(obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EntanglementReport:
-    """Witness evaluation summary.
+    """Witness evaluation summary, its fields declared in JSON key order.
 
     inputs           : echo of state/config parameters, coefficients, seeds,
                        bin widths and anything else needed to reproduce the run
@@ -66,11 +66,11 @@ class EntanglementReport:
     """
 
     inputs: dict
+    exact_e3f_gebits: float | None = None
     witness_gebits: float
+    certified_gebits: float | None = None  # derived from witness when omitted
     entropy_x_bits: float
     entropy_k_bits: float
-    certified_gebits: float | None = None  # derived from witness when omitted
-    exact_e3f_gebits: float | None = None
     bootstrap_se: float | None = None
     tool_version: str = __version__
 
@@ -91,16 +91,7 @@ class EntanglementReport:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "inputs": self.inputs,
-            "exact_e3f_gebits": self.exact_e3f_gebits,
-            "witness_gebits": self.witness_gebits,
-            "certified_gebits": self.certified_gebits,
-            "entropy_x_bits": self.entropy_x_bits,
-            "entropy_k_bits": self.entropy_k_bits,
-            "bootstrap_se": self.bootstrap_se,
-            "tool_version": self.tool_version,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json_dumps(self.to_dict()) + "\n"

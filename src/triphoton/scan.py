@@ -21,7 +21,9 @@ which now overlap, stay small.
 Leaf-level counts are then collapsed onto the witness's linear combinations
 (cell centers only, mimicking what such an apparatus can record) and fed to
 the entropic witness.  Every approximation made here widens the effective
-bins, so the resulting entanglement estimate errs low, never high.
+bins, so in the large-sample limit the entanglement estimate errs low.  With
+few counts per leaf it can err high: threshold 1 at depth 20 on 1000 samples
+of a product state certifies 12.979 gebits (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -297,29 +299,30 @@ def _checked_threshold(n_samples: int, threshold: int | None, max_depth: int) ->
     return int(threshold)
 
 
-def _scan_codes(
+def _scan_tree(
     s: TripleGaussianState,
     basis: str,
+    n_samples: int,
+    threshold: int,
     max_depth: int,
     seed: int | np.random.SeedSequence,
     out: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Draw len(out) triplets in `basis` and Morton-encode those in the box.
+) -> PartitionTree:
+    """Draw n_samples triplets in `basis` and build their refined count tree.
 
-    The draw is streamed in chunks of _DRAW_CHUNK rows from one generator,
-    and the kept codes fill the front of `out`.  Returns that filled slice
-    (a view of `out`) and the box half-side, _BOX_WIDTHS times the largest
-    marginal width of the sampled basis.
+    The draw is streamed in chunks of _DRAW_CHUNK rows from one generator;
+    the Morton codes of the rows inside the box fill the front of `out`,
+    an int64 buffer of n_samples rows, and are sorted there.
     """
     src = s if basis == "position" else to_momentum(s)
     rng = np.random.default_rng(seed)
     box = _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)
-    n_samples, n_kept = out.size, 0
+    n_kept = 0
     for start, stop in chunk_bounds(n_samples):
         codes = _cell_codes(_draw(src, stop - start, rng), box, max_depth)
         out[n_kept : n_kept + codes.size] = codes
         n_kept += codes.size
-    return out[:n_kept], box
+    return _build_tree(out[:n_kept], n_samples, basis, box, max_depth, threshold)
 
 
 def simulate_adaptive_scan(
@@ -342,8 +345,8 @@ def simulate_adaptive_scan(
     if basis not in _BASES:
         raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
     threshold = _checked_threshold(n_samples, threshold, max_depth)
-    codes, box = _scan_codes(s, basis, max_depth, seed, np.empty(n_samples, dtype=np.int64))
-    return _build_tree(codes, n_samples, basis, box, max_depth, threshold)
+    out = np.empty(n_samples, dtype=np.int64)
+    return _scan_tree(s, basis, n_samples, threshold, max_depth, seed, out)
 
 
 def _projections(tree: PartitionTree, cells: np.ndarray, cvec: np.ndarray) -> np.ndarray:
@@ -371,8 +374,9 @@ def tree_to_linear_histograms(
     coarsest first and skipped while they hold at most 1% of all counts, so
     a handful of stragglers in shallow tail cells cannot pin the width at
     the box scale.  At least 99% of the counts sit in cells no wider than
-    the chosen bin, which keeps the entropy estimate biased high and the
-    downstream witness an under-estimate.
+    the chosen bin, which in the large-sample limit keeps the entropy
+    estimate biased high and the witness an under-estimate (not so with few
+    counts per leaf; see the module docstring).
     """
     if tree.total_count <= 0:
         raise ValueError("tree holds no counts")
@@ -441,9 +445,8 @@ def scan_pair(
     buffers = [np.empty(n_samples, dtype=np.int64) for _ in _BASES]
 
     def scan_basis(basis: str, stream: np.random.SeedSequence) -> tuple[PartitionTree, Histogram1D]:
-        codes, box = _scan_codes(s, basis, max_depth, stream, buffers.pop())
-        tree = _build_tree(codes, n_samples, basis, box, max_depth, threshold)
-        del codes  # the popped buffer goes as soon as the tree is built
+        # the popped buffer goes as soon as the tree is built
+        tree = _scan_tree(s, basis, n_samples, threshold, max_depth, stream, buffers.pop())
         return tree, tree_to_linear_histograms(tree, coeffs)
 
     (tree_x, hist_x), (tree_k, hist_k) = _on_two_threads(

@@ -24,7 +24,7 @@ Geometry and conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,25 +41,6 @@ _LOG2_3SQRT2E = math.log2(3.0 * math.sqrt(2.0) * math.e)
 
 class ConfigError(ValueError):
     """Malformed, incomplete, or unreadable parameter config."""
-
-
-_REQUIRED_KEYS = (
-    "lambda_p",
-    "L_z",
-    "sigma_p",
-    "n_p",
-    "n_1",
-    "n_2",
-    "n_3",
-    "ng_p",
-    "ng_1",
-    "ng_2",
-    "ng_3",
-    "chi3_eff",
-    "kappa0",
-    "pump_power",
-)
-_OPTIONAL_KEYS = ("qpm_order", "qpm_period")
 
 
 def _check_positive(name: str, val) -> None:
@@ -103,14 +84,9 @@ class SpdcConfig:
     qpm_period: float | None = None
 
     def __post_init__(self):
-        positive = (
-            "lambda_p", "L_z", "sigma_p",
-            "n_p", "n_1", "n_2", "n_3",
-            "ng_p", "ng_1", "ng_2", "ng_3",
-            "chi3_eff",
-        )
-        for name in positive:
-            _check_positive(name, getattr(self, name))
+        for f in fields(self):
+            if f.default is MISSING and f.name not in ("kappa0", "pump_power"):
+                _check_positive(f.name, getattr(self, f.name))
         if not np.isfinite(self.pump_power) or self.pump_power < 0.0:
             raise ConfigError(
                 f"pump_power must be nonnegative and finite, got {self.pump_power!r}"
@@ -128,12 +104,13 @@ class SpdcConfig:
 
 
 def load_config(path: str | Path) -> SpdcConfig:
-    """Parse a flat ``key = value`` config file ('#' starts a comment)."""
+    """Parse a flat ``key = value`` file of SpdcConfig fields ('#' starts a comment)."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    required = {f.name: f.default is MISSING for f in fields(SpdcConfig)}
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -143,7 +120,7 @@ def load_config(path: str | Path) -> SpdcConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
+        if key not in required:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -151,7 +128,7 @@ def load_config(path: str | Path) -> SpdcConfig:
             values[key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad number {val!r} for {key}") from exc
-    missing = [k for k in _REQUIRED_KEYS if k not in values]
+    missing = [k for k, req in required.items() if req and k not in values]
     if missing:
         raise ConfigError(f"{path}: missing keys: {', '.join(missing)}")
     return SpdcConfig(**values)

@@ -23,6 +23,7 @@ which evaluates to exactly 1 gebit for GHZ statistics in the Z/X bases.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -318,19 +319,15 @@ def optimize_coefficients(
         )
 
     work = _Workspace(samples_x, samples_k)
-    h_x_memo: dict[tuple[float, float, float], float] = {}
-    h_k_memo: dict[tuple[float, float, float], float] = {}
+    h_x = functools.cache(lambda eta: work.entropy(samples_x, eta))
+    h_k = functools.cache(lambda beta: work.entropy(samples_k, beta))
     # a local, not an attribute of score: score referring to itself would be a
     # reference cycle, and the workspace would live on until the collector ran
     warned = False
 
     def score(c: WitnessCoefficients) -> float:
         nonlocal warned
-        if c.eta not in h_x_memo:
-            h_x_memo[c.eta] = work.entropy(samples_x, c.eta)
-        if c.beta not in h_k_memo:
-            h_k_memo[c.beta] = work.entropy(samples_k, c.beta)
-        val = _objective(c, h_x_memo[c.eta], h_k_memo[c.beta])
+        val = _objective(c, h_x(c.eta), h_k(c.beta))
         if val == -math.inf and not warned:
             warnings.warn(
                 "degenerate (zero-variance) combination met during coefficient "
@@ -366,7 +363,7 @@ def optimize_coefficients(
                 return score(build(*best_signs, trial))
 
             lm_best, val = _golden_max(along, log_lo, log_hi)
-            if val > best_val and np.isfinite(val):
+            if val > best_val:  # best_val is finite, so this rules out -inf and nan
                 mags[axis] = math.exp(lm_best)
                 best_val = val
             # degenerate or no improvement: keep the incumbent value

@@ -302,6 +302,33 @@ def test_simulate_out_bytes_are_pinned(capsys, tmp_path, args):
     assert got == _PINNED_OUTPUTS[args]
 
 
+# sha256 of the stdout of e3f and rate, and of the file sweep writes: the
+# report's key order, the config field echo and the sweep rows.  The config
+# path is given relative to the repository root, as rate echoes it.
+_PINNED_COMMANDS = {
+    ("e3f", "--sigma-u", "10", "--sigma-v", "1", "--json"): (
+        "2394f4871c925fa0218b52e38357519a07c10000c38fd8e393ab4897d90b2d6a"
+    ),
+    ("rate", "--config", "configs/fused_silica_516nm.cfg", "--qpm-order", "1"): (
+        "d0cdcce58934e36ae363b9969d97df8ba2404f4c304551db37e87b74a88d56d9"
+    ),
+    ("sweep", "--config", "configs/fig1_516nm.cfg", "--sigma-p-min", "1e-7", "--sigma-p-max", "1e-1", "--points", "200"): (
+        "8a8f7257688eec0994bf6cb4ce63bfacaf7cd32524a7155b07e9333ccfae01d0"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_COMMANDS))
+def test_command_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(CONFIGS.parent)
+    csv_path = tmp_path / "sweep.csv"
+    extra = ["--out", str(csv_path)] if args[0] == "sweep" else []
+    code, out, _ = _run(capsys, [*args, *extra])
+    assert code == 0
+    data = csv_path.read_bytes() if extra else out.encode()
+    assert hashlib.sha256(data).hexdigest() == _PINNED_COMMANDS[args]
+
+
 def test_simulate_stdout_report(capsys):
     code, out, _ = _run(
         capsys,
@@ -391,6 +418,14 @@ def test_error_exit_codes(capsys, tmp_path):
         ],
     )
     assert code == 2 and "error:" in err
+
+
+def test_simulate_config_with_sigma_w_is_a_usage_error(capsys):
+    # the config fixes every width, so a --sigma-w beside it would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(FIG1), "--sigma-w", "5", "-n", "100"])
+    assert exc.value.code == 2
+    assert "not both" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -180,25 +180,49 @@ def test_config_optional_qpm_keys(tmp_path):
     assert cfg.qpm_period == pytest.approx(2.97e-5)
 
 
+def _without(*keys):
+    return "\n".join(l for l in _VALID.splitlines() if not l.startswith(keys))
+
+
 def test_config_error_cases(tmp_path):
+    # (config text, the whole message; {path} is the config file)
     cases = [
-        _VALID + "mystery = 1\n",
-        _VALID + "L_z = 0.004\n",
-        _VALID.replace("pump_power = 0.1", "pump_power = ten"),
-        _VALID.replace("kappa0 = 2.79e-26", "kappa0 = 0"),
-        _VALID.replace("sigma_p = 1e-5", "sigma_p = -1e-5"),
-        _VALID + "qpm_order = 1.5\n",
-        _VALID + "qpm_order = inf\n",
-        _VALID + "qpm_order = nan\n",
-        "just a line without equals\n" + _VALID,
+        (_VALID + "mystery = 1\n", "{path}:15: unknown key 'mystery'"),
+        (_VALID + "L_z = 0.004\n", "{path}:15: duplicate key 'L_z'"),
+        (
+            _VALID.replace("pump_power = 0.1", "pump_power = ten"),
+            "{path}:14: bad number 'ten' for pump_power",
+        ),
+        (
+            _VALID.replace("kappa0 = 2.79e-26", "kappa0 = 0"),
+            "kappa0 must be nonzero and finite, got 0.0",
+        ),
+        (
+            _VALID.replace("sigma_p = 1e-5", "sigma_p = -1e-5"),
+            "sigma_p must be positive and finite, got -1e-05",
+        ),
+        (_VALID + "qpm_order = 1.5\n", "qpm_order must be a positive integer, got 1.5"),
+        (_VALID + "qpm_order = inf\n", "qpm_order must be a positive integer, got inf"),
+        (_VALID + "qpm_order = nan\n", "qpm_order must be a positive integer, got nan"),
+        (
+            "just a line without equals\n" + _VALID,
+            "{path}:1: expected 'key = value', got 'just a line without equals'",
+        ),
+        (_without("kappa0"), "{path}: missing keys: kappa0"),
+        # every missing key is named, in SpdcConfig's field order
+        (_without("pump_power", "kappa0"), "{path}: missing keys: kappa0, pump_power"),
+        # the first bad field in field order is the one named
+        (
+            _VALID.replace("sigma_p = 1e-5", "sigma_p = -1e-5").replace("L_z = 0.003", "L_z = 0"),
+            "L_z must be positive and finite, got 0.0",
+        ),
     ]
-    for text in cases:
-        with pytest.raises(ConfigError):
-            load_config(_write_cfg(tmp_path, text))
-    missing = "\n".join(l for l in _VALID.splitlines() if not l.startswith("kappa0"))
-    with pytest.raises(ConfigError):
-        load_config(_write_cfg(tmp_path, missing))
-    with pytest.raises(ConfigError):
+    for text, message in cases:
+        path = _write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == message.format(path=path)
+    with pytest.raises(ConfigError, match="^cannot read config .*absent.cfg"):
         load_config(tmp_path / "absent.cfg")
 
 
