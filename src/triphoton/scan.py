@@ -55,45 +55,14 @@ _COARSE_MASS_EXCLUDED = 0.01  # tail counts allowed coarser than the bin width
 _LEAF_BLOCK = 16384
 
 
-# Magic-bits Morton masks (libmorton's 64-bit split-by-3): spreading runs
-# down the table, compacting runs back up it.  21 bits per axis fit.
-_MORTON_MASKS = (
-    0x1FFFFF,
-    0x1F00000000FFFF,
-    0x1F0000FF0000FF,
-    0x100F00F00F00F00F,
-    0x10C30C30C30C30C3,
-    0x1249249249249249,
-)
-_MORTON_SHIFTS = (32, 16, 8, 4, 2)
-
-
-def _split_by_3(g: np.ndarray) -> np.ndarray:
-    """Spread the bits of each integer so bit b lands on bit 3b."""
-    g = g & _MORTON_MASKS[0]
-    for shift, mask in zip(_MORTON_SHIFTS, _MORTON_MASKS[1:]):
-        g |= g << shift
-        g &= mask
-    return g
-
-
-def _compact_by_3(c: np.ndarray) -> np.ndarray:
-    """Inverse of _split_by_3: gather bits 0, 3, 6, ... into bits 0, 1, 2, ...
-
-    Works in place, with one scratch array of c's size, and returns c.
-    """
-    c &= _MORTON_MASKS[-1]
-    scratch = np.empty_like(c)
-    for shift, mask in zip(reversed(_MORTON_SHIFTS), reversed(_MORTON_MASKS[:-1])):
-        np.right_shift(c, shift, out=scratch)
-        c ^= scratch
-        c &= mask
-    return c
-
-
-# _split_by_3 of every 12-bit index, shifted to its axis's bit of each octal
-# digit (x highest): encoding takes one lookup per axis per 12 levels
-_AXIS_TABLES = tuple(_split_by_3(np.arange(4096, dtype=np.int64)) << 2 - axis for axis in range(3))
+# Morton tables over every 12-bit index: _SPREAD moves bit b to bit 3b and
+# _COMPACT gathers bits 0, 3, 6 and 9 into bits 0-3.  Encoding takes one
+# _AXIS_TABLES lookup per axis per 12 levels (x highest in each octal digit),
+# decoding one _COMPACT lookup per axis per 4 levels.
+_INDEX = np.arange(4096, dtype=np.int64)
+_SPREAD = sum(((_INDEX >> b) & 1) << 3 * b for b in range(12))
+_COMPACT = sum(((_INDEX >> 3 * b) & 1) << b for b in range(4))
+_AXIS_TABLES = tuple(_SPREAD << 2 - axis for axis in range(3))
 
 
 @dataclass(frozen=True)
@@ -146,14 +115,18 @@ class PartitionTree:
     def _cell_table(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(centers, sides, counts) of the cells picked by `sel`, a mask or indices.
 
-        Decodes in place: the (x, y, z) cell indices go into one int64
-        array, which is compacted and then cast once to the centers.
+        Each axis's cell index is gathered 4 levels per _COMPACT lookup and
+        goes straight into its column of the centers.
         """
         codes, counts = self.codes[sel], self.counts[sel]
         sides = 2.0 * self.box_halfwidth / np.exp2(self.depths[sel].astype(float))
-        g = _compact_by_3(np.right_shift(codes[:, None], [2, 1, 0]))
-        centers = g.astype(float)
-        del g
+        centers = np.empty((codes.size, 3))
+        for axis in range(3):
+            c = codes >> 2 - axis
+            g = np.zeros_like(c)
+            for low in range(0, self.max_depth, 4):
+                g |= _COMPACT.take((c >> 3 * low) & 0xFFF) << low
+            centers[:, axis] = g
         centers += 0.5
         centers *= sides[:, None]
         centers += -self.box_halfwidth

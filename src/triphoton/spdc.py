@@ -37,6 +37,7 @@ EPS0 = 8.8541878128e-12  # F/m
 C_LIGHT = 2.99792458e8  # m/s
 
 _LOG2_3SQRT2E = math.log2(3.0 * math.sqrt(2.0) * math.e)
+_MAX_QPM_ORDER = 2**53  # above this a float no longer holds every integer
 
 
 class ConfigError(ValueError):
@@ -94,8 +95,11 @@ class SpdcConfig:
         if not np.isfinite(self.kappa0) or self.kappa0 == 0.0:
             raise ConfigError(f"kappa0 must be nonzero and finite, got {self.kappa0!r}")
         if self.qpm_order is not None:
-            if not float(self.qpm_order).is_integer() or self.qpm_order < 1:
+            # % and the comparisons are exact on ints; float(10**400) overflows
+            if self.qpm_order % 1 != 0 or self.qpm_order < 1:
                 raise ConfigError(f"qpm_order must be a positive integer, got {self.qpm_order!r}")
+            if self.qpm_order > _MAX_QPM_ORDER:
+                raise ConfigError(f"qpm_order must be at most 2**53, got {self.qpm_order!r}")
             object.__setattr__(self, "qpm_order", int(self.qpm_order))
         if self.qpm_period is not None and (
             not np.isfinite(self.qpm_period) or self.qpm_period <= 0.0
@@ -108,7 +112,7 @@ def load_config(path: str | Path) -> SpdcConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     required = {f.name: f.default is MISSING for f in fields(SpdcConfig)}
     values: dict[str, float] = {}
@@ -251,8 +255,8 @@ def triplet_rate(c: SpdcConfig) -> float:
 
 def qpm_penalty(order: int) -> float:
     """Rate penalty 4/(pi^2 order^2) for order-m quasi-phase matching."""
-    if int(order) != order or order < 1:
-        raise ValueError(f"qpm order must be a positive integer, got {order!r}")
+    if order % 1 != 0 or not 1 <= order <= _MAX_QPM_ORDER:
+        raise ValueError(f"qpm order must be a positive integer up to 2**53, got {order!r}")
     return float(4.0 / (math.pi**2 * order**2))
 
 

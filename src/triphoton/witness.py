@@ -385,13 +385,11 @@ class DiscreteWitnessInput:
     omegas       : per-party minimum inverse squared basis overlap, each in
                    [1, D_i] (equals D_i for mutually unbiased bases, 1 when
                    the two bases commute)
-    d_max        : maximum axis cardinality (validated against the shapes)
     """
 
     pmf_q: DiscretePMF
     pmf_r: DiscretePMF
     omegas: tuple[float, float, float]
-    d_max: int
 
     def __post_init__(self):
         if self.pmf_q.n_axes != 3 or self.pmf_r.n_axes != 3:
@@ -406,11 +404,12 @@ class DiscreteWitnessInput:
         for o, dim in zip(omegas, self.pmf_q.shape):
             if not np.isfinite(o) or o < 1.0 or o > dim + 1e-9:
                 raise ValueError(f"omega {o!r} outside [1, {dim}]")
-        if self.d_max != max(self.pmf_q.shape):
-            raise ValueError(
-                f"d_max {self.d_max!r} != max axis cardinality {max(self.pmf_q.shape)}"
-            )
         object.__setattr__(self, "omegas", omegas)
+
+    @property
+    def d_max(self) -> int:
+        """Maximum axis cardinality."""
+        return max(self.pmf_q.shape)
 
 
 def discrete_witness(inp: DiscreteWitnessInput) -> float:

@@ -150,7 +150,6 @@ def test_criterion_5_ghz_discrete_witness():
         pmf_q=DiscretePMF(pq.ravel(), (2, 2, 2)),
         pmf_r=DiscretePMF(pr.ravel(), (2, 2, 2)),
         omegas=(omega, omega, omega),
-        d_max=2,
     )
     w = discrete_witness(inp)
     dt = time.perf_counter() - t0

@@ -418,6 +418,30 @@ def test_error_exit_codes(capsys, tmp_path):
         ],
     )
     assert code == 2 and "error:" in err
+    # config errors: an undecodable file, an out-of-range value, a QPM order
+    # beyond 2**53 from the file or from the flag
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes(b"# \xff\n" + FUSED.read_bytes())
+    sweep = ["--sigma-p-min", "1e-5", "--sigma-p-max", "1e-4", "--out", str(tmp_path / "x.csv")]
+    for argv in (
+        ["rate", "--config", str(undecodable)],
+        ["sweep", "--config", str(undecodable), *sweep],
+        ["simulate", "--config", str(undecodable), "-n", "100"],
+    ):
+        code, _, err = _run(capsys, argv)
+        assert code == 2 and "cannot read config" in err, argv
+    negative = tmp_path / "negative.cfg"
+    negative.write_text(FUSED.read_text().replace("L_z        = 0.1", "L_z        = -1"))
+    code, _, err = _run(capsys, ["rate", "--config", str(negative)])
+    assert code == 2 and "L_z must be positive and finite, got -1.0" in err
+    huge = tmp_path / "huge_qpm.cfg"
+    huge.write_text(FUSED.read_text() + "qpm_order = 1e300\n")
+    for argv in (
+        ["rate", "--config", str(huge)],
+        ["rate", "--config", str(FUSED), "--qpm-order", "1" + "0" * 200],
+    ):
+        code, _, err = _run(capsys, argv)
+        assert code == 2 and "qpm_order must be at most 2**53" in err
 
 
 def test_simulate_config_with_sigma_w_is_a_usage_error(capsys):

@@ -16,12 +16,12 @@ from triphoton.entropy import Histogram1D, differential_entropy_from_histogram
 from triphoton.scan import (
     _BOX_WIDTHS,
     _LEAF_BLOCK,
+    _AXIS_TABLES,
     MAX_TREE_DEPTH,
+    PartitionTree,
     _build_tree,
     _cell_codes,
-    _compact_by_3,
     _projections,
-    _split_by_3,
     default_threshold,
     export_pair,
     scan_pair,
@@ -127,23 +127,61 @@ def test_cell_side_and_path_round_trip():
             assert centers[row].tolist() == walked.tolist()
 
 
-def test_morton_split_matches_bit_loop():
-    g = np.random.default_rng(0).integers(0, 2**21, size=1000)
-    g[:2] = (0, 2**21 - 1)
-    want = np.zeros_like(g)
-    for b in range(21):
-        want |= ((g >> b) & 1) << (3 * b)
-    assert np.array_equal(_split_by_3(g), want)
-    assert np.array_equal(_compact_by_3(want), g)
+def _spread_bits(g):
+    """Bit-loop reference encoder: bit b of each integer moves to bit 3b."""
+    out = np.zeros_like(g)
+    for b in range(MAX_TREE_DEPTH):
+        out |= ((g >> b) & 1) << 3 * b
+    return out
+
+
+def _compact_bits(c):
+    """Bit-loop reference decoder: bits 0, 3, 6, ... gather into bits 0, 1, 2, ..."""
+    out = np.zeros_like(c)
+    for b in range(MAX_TREE_DEPTH):
+        out |= ((c >> 3 * b) & 1) << b
+    return out
+
+
+def _interleave(g):
+    """Morton codes of the (n, 3) integer cells g, x highest in each octal digit."""
+    return (_spread_bits(g[:, 0]) << 2) | (_spread_bits(g[:, 1]) << 1) | _spread_bits(g[:, 2])
+
+
+def test_axis_tables_are_the_bit_loop_spread():
+    index = np.arange(4096, dtype=np.int64)
+    for axis, table in enumerate(_AXIS_TABLES):
+        assert table.dtype == np.int64
+        assert np.array_equal(table, _spread_bits(index) << 2 - axis)
+
+
+@pytest.mark.parametrize("depth", range(1, MAX_TREE_DEPTH + 1))
+def test_morton_round_trip_matches_bit_loop(depth):
+    # integer cells, every corner of the grid among them, are encoded from
+    # their centers and decoded back to the same centers bit for bit
+    box, last = 3.0, 2**depth - 1
+    g = np.random.default_rng(depth).integers(0, last + 1, size=(1000, 3))
+    g[:8] = [[(o >> 2) & 1, (o >> 1) & 1, o & 1] for o in range(8)]
+    g[:8] *= last
+    sides = np.full(g.shape[0], 2.0 * box / 2**depth)
+    centers = (g + 0.5) * sides[:, None] + -box
+    codes = _interleave(g)
+    assert np.array_equal(_cell_codes(centers, box, depth), codes)
+    n = codes.size
+    ones = np.ones(n, dtype=np.int64)
+    tree = PartitionTree("position", box, depth, 1, n, 0, depth * ones, codes, ones, ones > 0)
+    got_centers, got_sides, _ = tree._cell_table(tree.is_leaf)
+    assert got_centers.tobytes() == centers.tobytes()
+    assert got_sides.tobytes() == sides.tobytes()
 
 
 def _one_shot_codes(values, box, max_depth):
-    """Box filter, quantise and magic-bits encode of a whole draw at once."""
+    """Box filter, quantise and bit-loop encode of a whole draw at once."""
     inside = np.all(np.abs(values) <= box, axis=1)
     n_grid = 2**max_depth
     g = np.floor((values[inside] + box) / (2.0 * box / n_grid)).astype(np.int64)
     np.clip(g, 0, n_grid - 1, out=g)
-    return (_split_by_3(g[:, 0]) << 2) | (_split_by_3(g[:, 1]) << 1) | _split_by_3(g[:, 2])
+    return _interleave(g)
 
 
 def _assert_same_tree(a, b):
@@ -297,11 +335,11 @@ def test_collapse_equals_all_leaf_decode():
 
 
 def _stack_decode(tree, sel):
-    """Cell centers decoded through one np.stack of shifted codes and
-    whole-array temporaries, the reference for the in-place decode."""
+    """Cell centers decoded through one np.stack of shifted codes and the
+    bit-loop decoder, the reference for the table decode."""
     codes, depths = tree.codes[sel], tree.depths[sel]
     sides = 2.0 * tree.box_halfwidth / np.exp2(depths.astype(float))
-    g = _compact_by_3(np.stack([codes >> 2, codes >> 1, codes], axis=1))
+    g = _compact_bits(np.stack([codes >> 2, codes >> 1, codes], axis=1))
     return -tree.box_halfwidth + (g + 0.5) * sides[:, None], sides
 
 
@@ -360,7 +398,7 @@ def test_cell_codes_box_faces():
     last = 2**depth - 1
 
     def code(gx, gy, gz):
-        return int(_split_by_3(np.array([gx, gy, gz])) @ [4, 2, 1])
+        return int(_interleave(np.array([[gx, gy, gz]]))[0])
 
     kept = np.array([[box, box, box], [-box, -box, -box], [box, 0.0, -box], [0.0, 0.0, 0.0]])
     want = [code(last, last, last), 0, code(last, 8, 0), code(8, 8, 8)]

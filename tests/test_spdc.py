@@ -1,15 +1,18 @@
 """Down-conversion modeling: geometry, fitted widths, witness, rates."""
 
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triphoton.entropy import gaussian_differential_entropy
 from triphoton.spdc import (
     ConfigError,
+    SpdcConfig,
     closed_form_witness,
     gaussian_fit_widths,
     index_modulation_penalty,
@@ -73,9 +76,23 @@ def test_qpm_penalty_reference():
     assert qpm_penalty(1) == pytest.approx(0.405284734569, abs=1e-12)
     assert qpm_penalty(2) == pytest.approx(0.101321183642, abs=1e-12)
     assert qpm_penalty(3) == pytest.approx(4.0 / (9.0 * math.pi**2), rel=1e-12)
-    for bad in (0, -2, 1.5):
+    for bad in (0, -2, 1.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             qpm_penalty(bad)
+
+
+def test_qpm_order_bound():
+    # a float holds every integer up to 2**53; larger orders are refused,
+    # compared exactly, so that 10**400 does not overflow on its way in
+    cfg = load_config(FUSED)
+    assert replace(cfg, qpm_order=2**53).qpm_order == 2**53
+    assert qpm_penalty(2**53) == 4.0 / (math.pi**2 * 2.0**106)
+    for big in (2**53 + 1, 1e300, 10**400):
+        with pytest.raises(ConfigError) as exc:
+            replace(cfg, qpm_order=big)
+        assert str(exc.value) == f"qpm_order must be at most 2**53, got {big!r}"
+        with pytest.raises(ValueError, match=r"^qpm order must be a positive integer up to 2\*\*53"):
+            qpm_penalty(big)
 
 
 def test_index_modulation_penalty_reference():
@@ -204,6 +221,7 @@ def test_config_error_cases(tmp_path):
         (_VALID + "qpm_order = 1.5\n", "qpm_order must be a positive integer, got 1.5"),
         (_VALID + "qpm_order = inf\n", "qpm_order must be a positive integer, got inf"),
         (_VALID + "qpm_order = nan\n", "qpm_order must be a positive integer, got nan"),
+        (_VALID + "qpm_order = 1e300\n", "qpm_order must be at most 2**53, got 1e+300"),
         (
             "just a line without equals\n" + _VALID,
             "{path}:1: expected 'key = value', got 'just a line without equals'",
@@ -224,6 +242,65 @@ def test_config_error_cases(tmp_path):
         assert str(exc.value) == message.format(path=path)
     with pytest.raises(ConfigError, match="^cannot read config .*absent.cfg"):
         load_config(tmp_path / "absent.cfg")
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes(b"# \xff\n" + _VALID.encode())
+    with pytest.raises(ConfigError, match="^cannot read config .*latin1.cfg: .*decode byte 0xff"):
+        load_config(undecodable)
+
+
+_REQUIRED_FIELDS = [f.name for f in fields(SpdcConfig) if f.default is MISSING]
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20)
+# a blank line, a whitespace-only line or a comment line
+_FILLER = st.sampled_from(["", "   "]) | _COMMENT.map(lambda t: "# " + t)
+
+
+@st.composite
+def _config_values(draw):
+    """A valid SpdcConfig field dict, with or without each QPM key."""
+    values = {name: draw(_POSITIVE) for name in _REQUIRED_FIELDS}
+    values["kappa0"] = draw(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    values["pump_power"] = draw(st.floats(min_value=0.0, allow_infinity=False))
+    if draw(st.booleans()):
+        values["qpm_order"] = draw(st.integers(1, 2**53))
+    if draw(st.booleans()):
+        values["qpm_period"] = draw(_POSITIVE)
+    return values
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=_config_values(), data=st.data())
+def test_config_parser_properties(tmp_path_factory, values, data):
+    path = tmp_path_factory.mktemp("cfg") / "c.cfg"
+
+    def write(entries):
+        """Write `key = value!r` lines amid filler; returns their line numbers."""
+        lines, where = [], []
+        for key, val in entries:
+            lines += data.draw(st.lists(_FILLER, max_size=2))
+            comment = data.draw(st.none() | _COMMENT)
+            lines.append(f"{key} = {val!r}" + ("" if comment is None else f"  # {comment}"))
+            where.append(len(lines))
+        lines += data.draw(st.lists(_FILLER, max_size=2))
+        path.write_text("\n".join(lines) + "\n")
+        return where
+
+    entries = [(key, values[key]) for key in data.draw(st.permutations(list(values)))]
+    write(entries)
+    assert load_config(path) == SpdcConfig(**values)
+
+    dropped = data.draw(st.sampled_from(_REQUIRED_FIELDS))
+    write([e for e in entries if e[0] != dropped])
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: missing keys: {dropped}"
+
+    first = data.draw(st.integers(0, len(entries) - 1))
+    at = data.draw(st.integers(first + 1, len(entries)))
+    where = write(entries[:at] + [entries[first]] + entries[at:])
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}:{where[at]}: duplicate key {entries[first][0]!r}"
 
 
 def test_rate_reference_window():

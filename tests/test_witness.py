@@ -291,7 +291,6 @@ def _ghz_inputs():
         pmf_q=DiscretePMF(q.ravel(), (2, 2, 2)),
         pmf_r=DiscretePMF(r.ravel(), (2, 2, 2)),
         omegas=(2.0, 2.0, 2.0),
-        d_max=2,
     )
 
 
@@ -301,7 +300,7 @@ def test_discrete_witness_ghz_is_one_gebit():
 
 def test_discrete_witness_uniform_statistics():
     u = DiscretePMF(np.full(8, 0.125), (2, 2, 2))
-    inp = DiscreteWitnessInput(pmf_q=u, pmf_r=u, omegas=(2.0, 2.0, 2.0), d_max=2)
+    inp = DiscreteWitnessInput(pmf_q=u, pmf_r=u, omegas=(2.0, 2.0, 2.0))
     assert discrete_witness(inp) == pytest.approx(-5.0, abs=1e-12)
 
 
@@ -326,7 +325,6 @@ def test_discrete_witness_product_statistics_certify_nothing():
             pmf_q=DiscretePMF(q.ravel(), dims),
             pmf_r=DiscretePMF(r.ravel(), dims),
             omegas=omegas,
-            d_max=max(dims),
         )
         assert discrete_witness(inp) <= 1e-12
 
@@ -336,15 +334,13 @@ def test_discrete_witness_input_validation():
     u3 = DiscretePMF(np.full(12, 1.0 / 12.0), (2, 2, 3))
     two_axis = DiscretePMF(np.full(4, 0.25), (2, 2))
     with pytest.raises(ValueError):
-        DiscreteWitnessInput(pmf_q=u2, pmf_r=u3, omegas=(1.0, 1.0, 1.0), d_max=2)
+        DiscreteWitnessInput(pmf_q=u2, pmf_r=u3, omegas=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        DiscreteWitnessInput(pmf_q=two_axis, pmf_r=two_axis, omegas=(1.0, 1.0, 1.0), d_max=2)
+        DiscreteWitnessInput(pmf_q=two_axis, pmf_r=two_axis, omegas=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        DiscreteWitnessInput(pmf_q=u2, pmf_r=u2, omegas=(3.0, 1.0, 1.0), d_max=2)
+        DiscreteWitnessInput(pmf_q=u2, pmf_r=u2, omegas=(3.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        DiscreteWitnessInput(pmf_q=u2, pmf_r=u2, omegas=(0.5, 1.0, 1.0), d_max=2)
-    with pytest.raises(ValueError):
-        DiscreteWitnessInput(pmf_q=u2, pmf_r=u2, omegas=(1.0, 1.0, 1.0), d_max=3)
+        DiscreteWitnessInput(pmf_q=u2, pmf_r=u2, omegas=(0.5, 1.0, 1.0))
 
 
 def test_correlation_relation_bell_dimension():
