@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +51,17 @@ def _positive_float(text: str) -> float:
     return val
 
 
-def _positive_int(text: str) -> int:
-    try:
-        val = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
-    return val
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            val = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if val < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}: {text!r}")
+        return val
+
+    return parse
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -211,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="material/pump config file")
     p.add_argument("--sigma-p-min", type=_positive_float, required=True, help="smallest pump width, m")
     p.add_argument("--sigma-p-max", type=_positive_float, required=True, help="largest pump width, m")
-    p.add_argument("--points", type=_positive_int, default=200, help="grid size (geometric spacing)")
+    p.add_argument("--points", type=_int_at_least(1), default=200, help="grid size (geometric spacing)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("rate", help="triplet generation rate (JSON)")
     p.add_argument("--config", required=True, help="material/pump config file")
-    p.add_argument("--qpm-order", type=_positive_int, help="apply the quasi-phase-matching penalty of this order")
+    p.add_argument("--qpm-order", type=_int_at_least(1), help="apply the quasi-phase-matching penalty of this order")
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("simulate", help="adaptive scan simulation and witness report")
@@ -225,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-u", type=_positive_float, help="state width, m (alternative to --config)")
     p.add_argument("--sigma-v", type=_positive_float, help="state width, m")
     p.add_argument("--sigma-w", type=_positive_float, help="state width, m (default: same as --sigma-v)")
-    p.add_argument("-n", "--samples", type=_positive_int, default=100_000, help="triplets per basis")
-    p.add_argument("--threshold", type=_positive_int, help="cell refinement count (default: max(16, n/4096))")
+    p.add_argument("-n", "--samples", type=_int_at_least(1), default=100_000, help="triplets per basis")
+    p.add_argument("--threshold", type=_int_at_least(1), help="cell refinement count (default: max(16, n/4096))")
     p.add_argument(
         "--depth",
         type=int,
@@ -235,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DEPTH",
         help=f"maximum refinement depth, 1 to {MAX_TREE_DEPTH}",
     )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed")
     p.add_argument("--out", help="output prefix: writes PREFIX.json, PREFIX_position.csv, PREFIX_momentum.csv")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("validate", help="correlation-entanglement inequality check")
     p.add_argument("--dim", type=int, choices=range(2, 9), default=3, help="local Hilbert dimension")
-    p.add_argument("--trials", type=_positive_int, default=1000, help="random states to test")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--trials", type=_int_at_least(1), default=1000, help="random states to test")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed")
     p.set_defaults(func=_cmd_validate)
     return parser
 
@@ -255,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

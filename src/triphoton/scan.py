@@ -28,8 +28,8 @@ of a product state certifies 12.979 gebits (ROADMAP item 1).
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,14 +67,15 @@ _AXIS_TABLES = tuple(_SPREAD << 2 - axis for axis in range(3))
 
 @dataclass(frozen=True)
 class PartitionTree:
-    """Octree of coincidence counts over the cube [-B, B]^3.
+    """Octree of coincidence counts over the cube [-B, B]^3; only leaves are stored.
 
-    Cells are stored flat: `codes[i]` is the interleaved (x, y, z) cell index
-    at `depths[i]` levels (3 bits per level, x highest), so its octal digits
-    are the octant path from the root.  `counts[i]` is the number of samples
-    inside and `is_leaf[i]` is False for cells that were split.  Children of
-    a split cell are all present, including empty ones, so the leaves tile
-    the box exactly wherever refinement occurred.
+    `codes[i]` is leaf i's interleaved (x, y, z) cell index at `depths[i]`
+    levels (3 bits per level, x highest), so its octal digits are the octant
+    path from the root; `counts[i]` is the number of samples inside.  Leaves
+    are stored depth by depth.  A split cell's 8 children, empty ones
+    included, are all leaves or split cells, so the leaves tile the box and
+    each split adds 7: there are (n_leaves - 1) / 7 split cells, each
+    holding the sum of the counts below it.
     """
 
     basis: str
@@ -86,15 +87,14 @@ class PartitionTree:
     depths: np.ndarray = field(repr=False)
     codes: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
-    is_leaf: np.ndarray = field(repr=False)
 
     @property
     def n_cells(self) -> int:
-        return int(self.codes.size)
+        return self.n_leaves + (self.n_leaves - 1) // 7
 
     @property
     def n_leaves(self) -> int:
-        return int(self.is_leaf.sum())
+        return int(self.codes.size)
 
     @property
     def total_count(self) -> int:
@@ -104,21 +104,18 @@ class PartitionTree:
         return 2.0 * self.box_halfwidth / float(2**depth)
 
     def path_of(self, index: int) -> str:
-        """Octant-digit path from the root to cell `index` (empty for the root)."""
+        """Octant-digit path from the root to leaf `index` (empty for the root)."""
         depth = int(self.depths[index])
         return format(int(self.codes[index]), f"0{depth}o") if depth else ""
 
-    def leaf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(centers (n,3), sides (n,), counts (n,)) over all leaf cells."""
-        return self._cell_table(self.is_leaf)
+    def leaf_table(self, sel: slice | np.ndarray = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centers (n,3), sides (n,), counts (n,)) of the leaves `sel` picks, all by default.
 
-    def _cell_table(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(centers, sides, counts) of the cells picked by `sel`, a mask or indices.
-
-        Each axis's cell index is gathered 4 levels per _COMPACT lookup and
-        goes straight into its column of the centers.
+        The arrays are the caller's, never views of the tree's.  Each axis's
+        cell index is gathered 4 levels per _COMPACT lookup and goes straight
+        into its column of the centers.
         """
-        codes, counts = self.codes[sel], self.counts[sel]
+        codes, counts = self.codes[sel], self.counts[sel].copy()
         sides = 2.0 * self.box_halfwidth / np.exp2(self.depths[sel].astype(float))
         centers = np.empty((codes.size, 3))
         for axis in range(3):
@@ -141,14 +138,11 @@ class PartitionTree:
         depth + 1 + (count digits) + 1 bytes long, newline included.  Lines
         are written _LEAF_BLOCK at a time and joined at the end.
         """
-        leaves = np.flatnonzero(self.is_leaf)
-        aligned = self.codes[leaves] << 3 * (self.max_depth - self.depths[leaves])
-        order = np.argsort(aligned)
+        aligned = self.codes << 3 * (self.max_depth - self.depths)
+        order = np.argsort(aligned)  # tree indices in path order
         aligned = aligned[order]
-        leaves = leaves[order]  # tree indices in path order
+        depths, counts = self.depths[order], self.counts[order]
         del order
-        depths, counts = self.depths[leaves], self.counts[leaves]
-        del leaves
         parts = []
         for lo in range(0, counts.size, _LEAF_BLOCK):
             a, d, c = (x[lo : lo + _LEAF_BLOCK] for x in (aligned, depths, counts))
@@ -215,16 +209,16 @@ def _build_tree(
     codes.sort()
     n_kept = codes.size
 
-    # top-down: split any cell at or over threshold, keeping all 8 children.
-    # Depth-d cell c holds the finest codes in [c << 3(D-d), (c+1) << 3(D-d)).
-    level_codes, level_counts, level_leaf = [], [], []
+    # top-down: split any cell at or over threshold into all 8 children, and
+    # keep the cells that stay unsplit as that depth's leaves.  Depth-d cell c
+    # holds the finest codes in [c << 3(D-d), (c+1) << 3(D-d)).
+    level_codes, level_counts = [], []
     cur_codes = np.zeros(1, dtype=np.int64)
     cur_counts = np.array([n_kept], dtype=np.int64)
     for d in range(max_depth + 1):
         refined = (cur_counts >= threshold) & (d < max_depth)
-        level_codes.append(cur_codes)
-        level_counts.append(cur_counts)
-        level_leaf.append(~refined)
+        level_codes.append(cur_codes[~refined])
+        level_counts.append(cur_counts[~refined])
         if not refined.any():
             break
         kids = (cur_codes[refined, None] << 3) + np.arange(9)
@@ -235,7 +229,7 @@ def _build_tree(
 
     # joined one field at a time, each level list cleared once joined, so
     # at most one field is held twice
-    depths = np.repeat(np.arange(len(level_leaf), dtype=np.int64), [c.size for c in level_codes])
+    depths = np.repeat(np.arange(len(level_codes), dtype=np.int64), [c.size for c in level_codes])
     cell_codes = np.concatenate(level_codes)
     level_codes.clear()
     counts = np.concatenate(level_counts)
@@ -250,7 +244,6 @@ def _build_tree(
         depths=depths,
         codes=cell_codes,
         counts=counts,
-        is_leaf=np.concatenate(level_leaf),
     )
 
 
@@ -322,15 +315,15 @@ def simulate_adaptive_scan(
     return _scan_tree(s, basis, n_samples, threshold, max_depth, seed, out)
 
 
-def _projections(tree: PartitionTree, cells: np.ndarray, cvec: np.ndarray) -> np.ndarray:
-    """cvec . center of each cell in the index array `cells`.
+def _projections(tree: PartitionTree, leaves: np.ndarray, cvec: np.ndarray) -> np.ndarray:
+    """cvec . center of each leaf in the index array `leaves`.
 
-    Decodes and projects _LEAF_BLOCK cells at a time, so the (n, 3) centers
+    Decodes and projects _LEAF_BLOCK leaves at a time, so the (n, 3) centers
     are never held whole.
     """
-    out = np.empty(cells.size)
-    for lo in range(0, cells.size, _LEAF_BLOCK):
-        centers = tree._cell_table(cells[lo : lo + _LEAF_BLOCK])[0]
+    out = np.empty(leaves.size)
+    for lo in range(0, leaves.size, _LEAF_BLOCK):
+        centers = tree.leaf_table(leaves[lo : lo + _LEAF_BLOCK])[0]
         np.matmul(centers, cvec, out=out[lo : lo + centers.shape[0]])
     return out
 
@@ -354,9 +347,9 @@ def tree_to_linear_histograms(
     if tree.total_count <= 0:
         raise ValueError("tree holds no counts")
     cvec = np.asarray(coeffs.eta if tree.basis == "position" else coeffs.beta)
-    occupied = np.flatnonzero(tree.is_leaf & (tree.counts > 0))
+    occupied = np.flatnonzero(tree.counts > 0)
     counts = tree.counts[occupied]
-    # cells are stored depth by depth, so storage order is already coarsest first
+    # leaves are stored depth by depth, so storage order is already coarsest first
     first = np.argmax(np.cumsum(counts) > _COARSE_MASS_EXCLUDED * tree.total_count)
     width = float(np.abs(cvec).sum() * tree.cell_side(int(tree.depths[occupied[first]])))
     values = _projections(tree, occupied, cvec)
@@ -365,29 +358,16 @@ def tree_to_linear_histograms(
 
 
 def _on_two_threads(fn: Callable, worker_args: tuple, caller_args: tuple) -> tuple:
-    """(fn(*worker_args), fn(*caller_args)), the first on a new thread.
+    """(fn(*worker_args), fn(*caller_args)), the first on a one-thread pool.
 
-    The worker is joined in a finally, so no thread outlives the call, and
-    an exception the worker raised is re-raised here.
+    Leaving the pool's block joins its worker on every path, so no thread
+    outlives the call; result() re-raises an exception the worker raised.
+    If both calls raise, the caller's exception propagates.
     """
-    outcome: list = []  # (the worker's result, the exception it raised)
-
-    def run() -> None:
-        try:
-            outcome.append((fn(*worker_args), None))
-        except BaseException as exc:  # re-raised on the calling thread
-            outcome.append((None, exc))
-
-    worker = threading.Thread(target=run, name="triphoton-scan-worker")
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="triphoton-scan-worker") as pool:
+        theirs = pool.submit(fn, *worker_args)
         mine = fn(*caller_args)
-    finally:
-        worker.join()
-    theirs, exc = outcome.pop()
-    if exc is not None:
-        raise exc
-    return theirs, mine
+    return theirs.result(), mine
 
 
 def scan_pair(

@@ -142,16 +142,21 @@ def exact_e3f(s: TripleGaussianState) -> float:
     Symmetric under r -> 1/r and exactly 0 at sigma_u == sigma_v.  For width
     ratios beyond 1e8 the direct h2(lambda0)/lambda0 evaluation is replaced by
     its expansion log2(1/lambda0) + 1/ln2 - lambda0/(2 ln2) to dodge the
-    (1 - lambda0) underflow.
+    (1 - lambda0) underflow.  That branch writes lambda0 = 2t/q, t = 1/max(r, 1/r),
+    q = t + sqrt(2 + 5t^2 + 2t^4)/3, with log2 t from the widths' logs, so no
+    ratio is squared and it is finite at any ratio.
     """
     _require_symmetric(s, "exact_e3f")
     if s.sigma_u == s.sigma_v:
         return 0.0
-    r = s.sigma_u / s.sigma_v
+    r = float(s.sigma_u) / float(s.sigma_v)  # Python floats: no warning on over- or underflow
+    if r > _E3F_ASYMPTOTIC_RATIO or r < 1.0 / _E3F_ASYMPTOTIC_RATIO:
+        log_rho = abs(np.log2(s.sigma_u) - np.log2(s.sigma_v))
+        t = np.exp2(-log_rho)
+        q = t + np.sqrt(2.0 + 5.0 * t * t + 2.0 * t**4) / 3.0
+        return float(log_rho + np.log2(q / 2.0) + 1.0 / _LN2 - t / (q * _LN2))
     rr = r * r
     lam0 = 2.0 / (1.0 + np.sqrt(5.0 + 2.0 * (rr + 1.0 / rr)) / 3.0)
-    if r > _E3F_ASYMPTOTIC_RATIO or r < 1.0 / _E3F_ASYMPTOTIC_RATIO:
-        return float(np.log2(1.0 / lam0) + 1.0 / _LN2 - lam0 / (2.0 * _LN2))
     return float(binary_entropy(lam0) / lam0)
 
 

@@ -442,6 +442,20 @@ def test_error_exit_codes(capsys, tmp_path):
     ):
         code, _, err = _run(capsys, argv)
         assert code == 2 and "qpm_order must be at most 2**53" in err
+    # a negative seed is a usage error, not a domain error
+    for argv in (
+        ["simulate", "--sigma-u", "2", "--sigma-v", "1", "-n", "100", "--seed", "-1"],
+        ["validate", "--trials", "2", "--seed", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "must be >= 0: '-1'" in capsys.readouterr().err
+    # a pump width whose arithmetic overflows is a domain error, without a traceback
+    wide = ["--sigma-p-min", "1e-300", "--sigma-p-max", "1e300", "--points", "3"]
+    code, _, err = _run(capsys, ["sweep", "--config", str(FIG1), *wide, "--out", str(tmp_path / "x.csv")])
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_config_with_sigma_w_is_a_usage_error(capsys):

@@ -76,6 +76,18 @@ def test_exact_e3f_asymptotic_branch_is_continuous():
     assert abs(hi - lo) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "sigma_u, sigma_v",
+    [(1e200, 1.0), (1e300, 1.0), (1e300, 1e-300), (1e-300, 1e300), (np.float64(1e300), np.float64(1e-300))],
+)
+def test_exact_e3f_is_finite_at_extreme_ratios(sigma_u, sigma_v):
+    # every ratio squared overflows a double; the last three over- or underflow unsquared
+    got = exact_e3f(TripleGaussianState(sigma_u, sigma_v, sigma_v))
+    log_rho = abs(np.log2(sigma_u) - np.log2(sigma_v))
+    assert np.isfinite(got)
+    assert abs(got - (log_rho - np.log2(3.0 * np.sqrt(2.0)) + 1.0 / np.log(2.0))) <= 1e-9
+
+
 def test_exact_e3f_rejects_asymmetric_width():
     with pytest.raises(UnsupportedStateError):
         exact_e3f(TripleGaussianState(3.0, 1.0, 1.2))

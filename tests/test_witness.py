@@ -117,6 +117,16 @@ def test_separable_state_certifies_zero():
     assert rep.certified_gebits == 0.0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_few_samples_in_fine_bins_do_not_over_certify():
+    # one sample per occupied bin biases both plug-in entropies low: the
+    # witness certifies about 21.58 gebits of a product state
+    s = TripleGaussianState(1.0, 1.0, 1.0)
+    xs, ks = sample_positions(s, 1000, 0), sample_momenta(s, 1000, 1)
+    rep = witness_from_samples(xs, ks, SPDC_COEFFICIENTS, 1e-6, 1e-6)
+    assert rep.certified_gebits <= exact_e3f(s) + 1e-9
+
+
 def test_witness_from_samples_validation():
     s = TripleGaussianState(2.0, 1.0, 1.0)
     xs = sample_positions(s, 100, 0)
