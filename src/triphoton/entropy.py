@@ -197,10 +197,18 @@ def binary_entropy(lam: float) -> float:
 
 
 def gaussian_differential_entropy(sigma: float) -> float:
-    """Differential entropy (bits) of a Gaussian with standard deviation sigma."""
+    """Differential entropy (bits) of a Gaussian with standard deviation sigma.
+
+    0.5 log2(2 pi e sigma^2), or 0.5 log2(2 pi e) + log2(sigma) where
+    2 pi e sigma^2 is not a normal float (sigma outside about [4e-155, 3e153]).
+    """
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return float(0.5 * np.log2(2.0 * np.pi * np.e * sigma * sigma))
+    sigma = float(sigma)  # Python floats: no warning on over- or underflow
+    scaled_variance = 2.0 * np.pi * np.e * sigma * sigma
+    if np.finfo(float).tiny <= scaled_variance < np.inf:
+        return float(0.5 * np.log2(scaled_variance))
+    return float(0.5 * np.log2(2.0 * np.pi * np.e) + np.log2(sigma))
 
 
 def differential_entropy_from_histogram(hist: Histogram1D) -> float:

@@ -9,14 +9,16 @@ makes the scheme affordable for strongly correlated sources.
 
 Each basis is drawn in chunks of _DRAW_CHUNK rows (states.chunk_bounds), so
 the stream is that of a single draw; each chunk is box-filtered, quantised
-and Morton-encoded while it is small, and only its int64 cell codes are
-kept.  The codes are sorted once and the tree is refined from that array,
-so it equals the tree of a one-shot draw.  scan_pair runs each basis end to
-end (draw, encode, sort, refine, collapse) on its own thread, and
-export_pair builds the two trees' CSV bytes the same way; _on_two_threads
-is the one place a thread starts.  The collapse and the export work
-through the leaves _LEAF_BLOCK at a time, so that the two bases' peaks,
-which now overlap, stay small.
+and Morton-encoded while it is small, straight into one code buffer of the
+basis, and only those finest-depth cell codes are kept.  They are int32 up
+to depth 10 and int64 above (_code_dtype), so a scan holds 4 or 8 bytes
+per triplet and sorts the narrower codes faster.  The codes are sorted
+once and the tree is refined from that array, so it equals the tree of a
+one-shot draw.  scan_pair runs each basis end to end (draw, encode, sort,
+refine, collapse) on its own thread, and export_pair builds the two trees'
+CSV bytes the same way; _on_two_threads is the one place a thread starts.
+The collapse and the export work through the leaves _LEAF_BLOCK at a time,
+so that the two bases' peaks, which now overlap, stay small.
 
 Leaf-level counts are then collapsed onto the witness's linear combinations
 (cell centers only, mimicking what such an apparatus can record) and fed to
@@ -63,6 +65,12 @@ _INDEX = np.arange(4096, dtype=np.int64)
 _SPREAD = sum(((_INDEX >> b) & 1) << 3 * b for b in range(12))
 _COMPACT = sum(((_INDEX >> 3 * b) & 1) << b for b in range(4))
 _AXIS_TABLES = tuple(_SPREAD << 2 - axis for axis in range(3))
+# The encode tables for each code dtype: an int32 code has 10 levels, so its
+# tables keep the first 2**10 entries, each below 2**30.
+_CODE_TABLES = {
+    np.dtype(np.int64): _AXIS_TABLES,
+    np.dtype(np.int32): tuple(t[: 2**10].astype(np.int32) for t in _AXIS_TABLES),
+}
 
 
 @dataclass(frozen=True)
@@ -172,24 +180,49 @@ class PartitionTree:
         return self.record_bytes().decode().splitlines()
 
 
-def _cell_codes(values: np.ndarray, box_halfwidth: float, max_depth: int) -> np.ndarray:
+def _code_dtype(max_depth: int) -> np.dtype:
+    """dtype of the finest-depth cell codes of a max_depth scan.
+
+    int32 while _build_tree's largest search key, 2**(3 * max_depth) (the
+    end of the all-ones corner cell), fits in one, so up to depth 10.
+    """
+    return np.dtype(np.int32 if 3 * max_depth <= 30 else np.int64)
+
+
+def _cell_codes(
+    values: np.ndarray, box_halfwidth: float, max_depth: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Finest-depth Morton codes of the rows of `values` inside [-B, B]^3.
 
     A row is kept when every |coordinate| <= B; a coordinate exactly on a +B
     face lands in the last cell.  Rows outside the box are left out, and the
-    caller counts them as dropped.
+    caller counts them as dropped.  The codes fill the front of `out` (a
+    fresh _code_dtype array by default), and that slice is returned;
+    `values` is left as it was.
     """
     n_grid = 2**max_depth
-    ok = np.abs(values) <= box_halfwidth
-    q = values + box_halfwidth if ok.all() else values[ok.all(axis=1)] + box_halfwidth
+    if values.min() >= -box_halfwidth and values.max() <= box_halfwidth:
+        q = values + box_halfwidth
+    else:
+        q = values[(np.abs(values) <= box_halfwidth).all(axis=1)] + box_halfwidth
     q /= 2.0 * box_halfwidth / n_grid
-    # q >= 0 since values >= -B, so only the +B faces need clamping
-    np.floor(q, out=q)
-    np.minimum(q, n_grid - 1, out=q)
-    g = q.T.astype(np.int64, order="C")  # one contiguous row per axis
-    codes = np.zeros(g.shape[1], dtype=np.int64)
+    # q >= 0 since values >= -B, so the cast truncates to the floor, and
+    # only the +B faces need clamping
+    g = q.T.astype(np.int32, order="C")  # one contiguous row per axis
+    np.minimum(g, n_grid - 1, out=g)
+    if out is None:
+        out = np.empty(g.shape[1], dtype=_code_dtype(max_depth))
+    codes = out[: g.shape[1]]
+    tables = _CODE_TABLES[codes.dtype]
+    if max_depth <= 12:  # one 12-bit window holds every level
+        # mode="clip" writes into codes without a buffer; g is in range
+        np.take(tables[0], g[0], out=codes, mode="clip")
+        codes |= tables[1].take(g[1])
+        codes |= tables[2].take(g[2])
+        return codes
+    codes[:] = 0
     for low in range(0, max_depth, 12):
-        for table, g_axis in zip(_AXIS_TABLES, g):
+        for table, g_axis in zip(tables, g):
             codes |= table.take((g_axis >> low) & 0xFFF) << 3 * low
     return codes
 
@@ -204,7 +237,9 @@ def _build_tree(
 ) -> PartitionTree:
     """Refine the count tree over the finest-depth codes of the kept samples.
 
-    Sorts `codes` in place.
+    Sorts `codes` in place.  The search keys are cast to the codes' dtype
+    (int32 up to depth 10, where the largest key is 2**30), so searchsorted
+    never converts the whole code array; the tree's arrays are int64.
     """
     codes.sort()
     n_kept = codes.size
@@ -222,10 +257,11 @@ def _build_tree(
         if not refined.any():
             break
         kids = (cur_codes[refined, None] << 3) + np.arange(9)
-        edges = np.searchsorted(codes, kids << 3 * (max_depth - d - 1))
+        keys = (kids << 3 * (max_depth - d - 1)).astype(codes.dtype, copy=False)
+        edges = np.searchsorted(codes, keys)
         cur_counts = np.diff(edges).ravel()
         cur_codes = kids[:, :8].ravel()
-        del kids, edges
+        del kids, keys, edges
 
     # joined one field at a time, each level list cleared once joined, so
     # at most one field is held twice
@@ -278,16 +314,14 @@ def _scan_tree(
 
     The draw is streamed in chunks of _DRAW_CHUNK rows from one generator;
     the Morton codes of the rows inside the box fill the front of `out`,
-    an int64 buffer of n_samples rows, and are sorted there.
+    a _code_dtype buffer of n_samples rows, and are sorted there.
     """
     src = s if basis == "position" else to_momentum(s)
     rng = np.random.default_rng(seed)
     box = _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)
     n_kept = 0
     for start, stop in chunk_bounds(n_samples):
-        codes = _cell_codes(_draw(src, stop - start, rng), box, max_depth)
-        out[n_kept : n_kept + codes.size] = codes
-        n_kept += codes.size
+        n_kept += _cell_codes(_draw(src, stop - start, rng), box, max_depth, out[n_kept:]).size
     return _build_tree(out[:n_kept], n_samples, basis, box, max_depth, threshold)
 
 
@@ -311,7 +345,7 @@ def simulate_adaptive_scan(
     if basis not in _BASES:
         raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
     threshold = _checked_threshold(n_samples, threshold, max_depth)
-    out = np.empty(n_samples, dtype=np.int64)
+    out = np.empty(n_samples, dtype=_code_dtype(max_depth))
     return _scan_tree(s, basis, n_samples, threshold, max_depth, seed, out)
 
 
@@ -395,7 +429,7 @@ def scan_pair(
     ss_x, ss_k, ss_boot = np.random.SeedSequence(seed).spawn(3)
     # both code buffers come from this thread's heap, where the memory they
     # leave is reused by later work here; a worker thread's heap keeps it
-    buffers = [np.empty(n_samples, dtype=np.int64) for _ in _BASES]
+    buffers = [np.empty(n_samples, dtype=_code_dtype(max_depth)) for _ in _BASES]
 
     def scan_basis(basis: str, stream: np.random.SeedSequence) -> tuple[PartitionTree, Histogram1D]:
         # the popped buffer goes as soon as the tree is built

@@ -196,6 +196,9 @@ def gaussian_fit_widths(c: SpdcConfig) -> TripleGaussianState:
 
 def _witness_gebits(sigma_p: float, k_p: float, L_z: float) -> float:
     corr = 18.0 * sigma_p**2 * k_p / L_z
+    if math.isinf(corr):  # the product overflows; its log does not
+        log2_corr = math.log2(18.0) + 2.0 * math.log2(sigma_p) + math.log2(k_p) - math.log2(L_z)
+        return float(0.5 * np.logaddexp2(4.0, log2_corr) - _LOG2_3SQRT2E)
     return float(0.5 * math.log2(16.0 + corr) - _LOG2_3SQRT2E)
 
 

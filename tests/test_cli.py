@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import threading
 from pathlib import Path
 
@@ -43,6 +44,16 @@ def test_e3f_json_report(capsys):
     code, out, _ = _run(capsys, ["e3f", "--sigma-u", "10", "--sigma-v", "1", "--json"])
     assert code == 0
     rep = EntanglementReport.from_json(out)
+    assert rep.witness_gebits <= rep.exact_e3f_gebits
+
+
+@pytest.mark.parametrize("sigma_u", ["1e200", "1e-200"])
+def test_e3f_json_report_at_extreme_width_ratios(capsys, sigma_u):
+    # a momentum width of about 1e-200 (or 1e200) squares to 0 (or inf)
+    code, out, err = _run(capsys, ["e3f", "--sigma-u", sigma_u, "--sigma-v", "1", "--json"])
+    assert code == 0 and err == ""
+    rep = EntanglementReport.from_json(out)
+    assert math.isfinite(rep.witness_gebits)
     assert rep.witness_gebits <= rep.exact_e3f_gebits
 
 
@@ -154,6 +165,17 @@ def test_sweep_single_point_and_bad_range(capsys, tmp_path):
             ]
         )
     assert exc.value.code == 2
+
+
+def test_sweep_row_stays_finite_where_its_product_overflows(capsys, tmp_path):
+    # 18 sigma_p^2 k_p / L_z overflows at sigma_p = 1e150; its log does not
+    out_path = tmp_path / "wide.csv"
+    argv = ["sweep", "--config", str(FIG1), "--sigma-p-min", "1e150", "--sigma-p-max", "1e150"]
+    code, _, err = _run(capsys, [*argv, "--points", "1", "--out", str(out_path)])
+    assert code == 0 and err == ""
+    (row,) = out_path.read_text().splitlines()[1:]
+    _, wit, exact = (float(f) for f in row.split(","))
+    assert math.isfinite(wit) and wit <= exact
 
 
 def test_rate_reference_configuration(capsys):
@@ -287,6 +309,17 @@ _PINNED_OUTPUTS = {
         ".json": "44fca1bdd541990971163c62d69521e693b0442452ab965e18b29226ed8ea54e",
         "_position.csv": "8cbc41bbc7bfd1f724ce51c31a028cb3deb4ba292fbe7969d0bf1d706ef4dfd4",
         "_momentum.csv": "9e242a1327bbefe0cb6943541aa8c9b9dd987ed26fd8a8f6a8719b982b4dc0b4",
+    },
+    # int32 cell codes: the default depth 8, and depth 10, the deepest int32 tree
+    ("--sigma-u", "100", "--sigma-v", "1", "-n", "20000"): {
+        ".json": "1012502c4dd0eeb90df525bb007f7aff212084af1ed7433fa1003a8f566d933e",
+        "_position.csv": "3d84b212568125f115d27d2cad3ff7ca115bd62c93fcc33f58d99324d24bf4d1",
+        "_momentum.csv": "8f5e1a75c7a876bfb19fd7e18e46ff88cb94c9865fac6aabeafb84ae92d1baf3",
+    },
+    ("--sigma-u", "100", "--sigma-v", "1", "-n", "20000", "--depth", "10", "--threshold", "2"): {
+        ".json": "e57a9bf67a2590428120ad3526a5c945fcd4c736f8ee6d3fe5194cb695850e67",
+        "_position.csv": "ae33d7f2f48d53ad317d29ac14eefdd6006938b2883e8a0a170742d8f95bb861",
+        "_momentum.csv": "fc8909ba5499c4f2abc9bf61036d6e356c390b3b89f1e2e612b506d907c3dc28",
     },
 }
 

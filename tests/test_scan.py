@@ -1,10 +1,12 @@
 """Adaptive octree scan simulation and histogram extraction."""
 
 import dataclasses
+import gc
 import json
 import math
 import sys
 import threading
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -204,6 +206,9 @@ def _assert_same_tree(a, b):
         (_DRAW_CHUNK, "position", 8),
         (_DRAW_CHUNK + 1, "momentum", MAX_TREE_DEPTH),
         (3 * _DRAW_CHUNK + 5, "position", 12),
+        # the deepest int32 codes and the shallowest int64 ones
+        (2 * _DRAW_CHUNK + 3, "position", 10),
+        (2 * _DRAW_CHUNK + 3, "momentum", 11),
     ],
 )
 def test_chunked_scan_equals_one_shot_draw(n, basis, max_depth):
@@ -215,6 +220,55 @@ def test_chunked_scan_equals_one_shot_draw(n, basis, max_depth):
     assert np.array_equal(_cell_codes(values, box, max_depth), codes)
     want = _build_tree(codes, n, basis, box, max_depth, 4)
     _assert_same_tree(simulate_adaptive_scan(s, basis, n, 4, max_depth, seed=8), want)
+
+
+@pytest.mark.parametrize("max_depth", [10, 11])
+def test_corner_cell_at_the_code_dtype_boundary(max_depth):
+    # the all-ones corner cell ends at 2**(3 * max_depth), _build_tree's
+    # largest search key: 2**30 at depth 10, the last depth with int32 codes
+    box = 1.0
+    values = np.random.default_rng(3).uniform(-box, box, (500, 3))
+    values[-3:] = box  # three rows on the +B corner, in the last cell
+    codes = _cell_codes(values, box, max_depth)
+    assert codes.dtype == (np.int32 if max_depth == 10 else np.int64)
+    assert codes.max() == 2 ** (3 * max_depth) - 1
+    want = _one_shot_codes(values, box, max_depth)
+    assert np.array_equal(codes, want)
+    tree = _build_tree(codes, values.shape[0], "position", box, max_depth, 2)
+    _assert_same_tree(tree, _build_tree(want, values.shape[0], "position", box, max_depth, 2))
+    leaves, n_cells = _reference_tree(codes, max_depth, 2)
+    assert list(zip(tree.depths.tolist(), tree.codes.tolist(), tree.counts.tolist())) == leaves
+    assert tree.n_cells == n_cells
+    assert (max_depth, 2 ** (3 * max_depth) - 1, 3) in leaves
+
+
+@pytest.mark.parametrize("spread", [0.2, 1.0])
+@pytest.mark.parametrize("max_depth", [8, 10, 11, MAX_TREE_DEPTH])
+def test_cell_codes_leave_values_unchanged(spread, max_depth):
+    values = np.random.default_rng(4).standard_normal((1000, 3)) * spread
+    # both paths: every row in the box B = 1, and rows dropped from it
+    assert (np.abs(values) <= 1.0).all() == (spread < 1.0)
+    before = values.tobytes()
+    _cell_codes(values, 1.0, max_depth)
+    _cell_codes(values, 1.0, max_depth, out=np.empty(1000, np.int64))
+    assert values.tobytes() == before
+
+
+def test_scan_peak_memory_per_sample():
+    # int32 codes at depth 8: 4 bytes a sample, plus one chunk's temporaries
+    n = 1_000_000
+    s = TripleGaussianState(100.0, 1.0, 1.0)
+    simulate_adaptive_scan(s, "position", 100, max_depth=8)  # lazy imports stay out of the peak
+    for basis in ("position", "momentum"):
+        gc.disable()
+        tracemalloc.start()
+        try:
+            simulate_adaptive_scan(s, basis, n, max_depth=8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak < 6 * n, basis
 
 
 def _sequential_pair(s, n, threshold, max_depth, seed):
