@@ -16,7 +16,9 @@ per triplet and sorts the narrower codes faster.  The codes are sorted
 once and the tree is refined from that array, so it equals the tree of a
 one-shot draw.  scan_pair runs each basis end to end (draw, encode, sort,
 refine, collapse) on its own thread, and export_pair builds the two trees'
-CSV bytes the same way; _on_two_threads is the one place a thread starts.
+CSV bytes the same way, both through _on_two_threads, which takes its
+worker from threads.worker_thread.  The two threads share no array they
+write, so the trees and bytes are those of scanning the bases in turn.
 The collapse and the export work through the leaves _LEAF_BLOCK at a time,
 so that the two bases' peaks, which now overlap, stay small.
 
@@ -31,7 +33,6 @@ of a product state certifies 12.979 gebits (ROADMAP item 1).
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,7 @@ from .states import (
     exact_e3f,
     to_momentum,
 )
+from .threads import worker_thread
 from .witness import SPDC_COEFFICIENTS, WitnessCoefficients, histogram_report
 
 _BASES = ("position", "momentum")
@@ -392,14 +394,14 @@ def tree_to_linear_histograms(
 
 
 def _on_two_threads(fn: Callable, worker_args: tuple, caller_args: tuple) -> tuple:
-    """(fn(*worker_args), fn(*caller_args)), the first on a one-thread pool.
+    """(fn(*worker_args), fn(*caller_args)), the first on a worker thread.
 
-    Leaving the pool's block joins its worker on every path, so no thread
-    outlives the call; result() re-raises an exception the worker raised.
-    If both calls raise, the caller's exception propagates.
+    The worker runs in the caller's context and is joined on every path
+    (threads.worker_thread); result() re-raises an exception the worker
+    raised.  If both calls raise, the caller's exception propagates.
     """
-    with ThreadPoolExecutor(1, thread_name_prefix="triphoton-scan-worker") as pool:
-        theirs = pool.submit(fn, *worker_args)
+    with worker_thread("triphoton-scan-worker") as submit:
+        theirs = submit(fn, *worker_args)
         mine = fn(*caller_args)
     return theirs.result(), mine
 

@@ -18,10 +18,18 @@ basis per party, inverse overlap Omega_i):
     E3F >= sum_i [log2 Omega_i - H(Q_i|Q_rest) - H(R_i|R_rest)] - 2 log2 Dmax
 
 which evaluates to exactly 1 gebit for GHZ statistics in the Z/X bases.
+
+optimize_coefficients, sampled_witness_objective and witness_from_samples
+take their histograms through one _Workspace per call.  From
+_THREADED_ROWS rows it holds a worker thread (threads.worker_thread) for
+the call and splits each histogram's rows at numpy's pairwise-sum midpoint
+between the worker and the caller; the partial sums then add up to numpy's
+own, so every sd, bin, count and chosen coefficient equals one thread's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
@@ -41,6 +49,7 @@ from .entropy import (
 )
 from .report import EntanglementReport
 from .states import SampleSet, TripleGaussianState, exact_e3f, to_momentum
+from .threads import worker_thread
 
 _LOG2 = math.log(2.0)
 
@@ -156,13 +165,34 @@ def histogram_report(
 
 _BINS_PER_SIGMA = 8  # self-scaling histogram resolution for the objective
 
+# Rows from which a workspace runs a histogram's second row range on its
+# worker thread.  optimize_coefficients, median ms per call on one thread ->
+# two (2-vCPU VM, one BLAS thread; BENCH_search.json): 35 -> 94 at 20k rows,
+# 88 -> 88 at 75k, 183 -> 159 at 100k, 320 -> 234 at 200k.  Below this the
+# three handoffs per histogram, about 50 us each, cost more than the halved
+# passes save.
+_THREADED_ROWS = 100_000
 
-def _sd(values: np.ndarray, scratch: np.ndarray) -> float:
-    """values.std(), bit for bit: numpy's two passes, with the deviations in scratch."""
-    n = values.size
-    np.subtract(values, np.add.reduce(values) / n, out=scratch)
-    np.square(scratch, out=scratch)
-    return math.sqrt(np.add.reduce(scratch) / n)
+
+def _split(n: int) -> int:
+    """Where a histogram of n rows is split into two row ranges: numpy's pairwise-sum midpoint.
+
+    np.add.reduce over n > 128 contiguous values adds the sums of [0, h) and
+    [h, n) last, so the two ranges' partial sums add up to it bit for bit.
+    Below 129 values it sums in one block, so it returns 0: no split.
+    """
+    if n <= 128:
+        return 0
+    return n // 2 - (n // 2) % 8
+
+
+def _added(counts: list[np.ndarray]) -> np.ndarray:
+    """Bin counts summed over row ranges; each array is as long as its range's last bin."""
+    total = max(counts, key=len)
+    for c in counts:
+        if c is not total:
+            total[: c.size] += c
+    return total
 
 
 class _Workspace:
@@ -170,6 +200,14 @@ class _Workspace:
 
     Every combination histogram taken through one workspace reuses these
     three arrays, so none allocates an array the size of its sample set.
+
+    Each histogram runs in three phases over the rows [0, h) and [h, n),
+    h = _split(n): project and take a sum and a min, square the deviations
+    and sum them, then bin and count.  The calling thread adds the two sums
+    and the two count arrays, so every value equals that of one pass over
+    all rows.  Used as a context manager on at least _THREADED_ROWS rows,
+    the workspace owns one worker thread that runs [h, n) while the caller
+    runs [0, h); the worker is joined when the block is left.
     """
 
     def __init__(self, *sample_sets: SampleSet):
@@ -177,23 +215,71 @@ class _Workspace:
         self._projection = np.empty(n)
         self._scratch = np.empty(n)
         self._idx = np.empty(n, dtype=np.int64)
+        self._threads = contextlib.ExitStack()
+        self._submit = None  # no worker: both row ranges run on the calling thread
+
+    def __enter__(self) -> "_Workspace":
+        if self._projection.size >= _THREADED_ROWS:
+            self._submit = self._threads.enter_context(worker_thread("triphoton-search-worker"))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._submit = None
+        self._threads.close()
+
+    def _per_range(self, phase, n: int, *args) -> list:
+        """[phase(rows, *args)] for each row range of n rows, in order.
+
+        With a worker the last range runs there while the caller runs the
+        first; result() re-raises what the worker raised.
+        """
+        h = _split(n)
+        if h == 0:
+            return [phase(slice(0, n), *args)]
+        rest = slice(h, n)
+        theirs = self._submit(phase, rest, *args) if self._submit else None
+        mine = phase(slice(0, h), *args)
+        return [mine, theirs.result() if theirs else phase(rest, *args)]
+
+    def _project(self, rows: slice, values: np.ndarray, coeffs: np.ndarray) -> tuple:
+        out = np.matmul(values[rows], coeffs, out=self._projection[rows])
+        return np.add.reduce(out), out.min()
+
+    def _square_deviations(self, rows: slice, mean: float):
+        dev = np.subtract(self._projection[rows], mean, out=self._scratch[rows])
+        np.square(dev, out=dev)
+        return np.add.reduce(dev)
+
+    def _bin_counts(self, rows: slice, origin: float, bin_width: float) -> np.ndarray:
+        scaled = np.subtract(self._projection[rows], origin, out=self._scratch[rows])
+        scaled /= bin_width
+        # values - origin >= 0, so the truncating cast is the floor
+        idx = self._idx[rows]
+        np.copyto(idx, scaled, casting="unsafe")
+        return np.bincount(idx)
 
     def histogram(
         self, samples: SampleSet, coeffs: tuple[float, float, float], bin_width: float | None = None
     ) -> Histogram1D | None:
-        """Histogram of samples @ coeffs at bin_width.
+        """Histogram of samples @ coeffs at bin_width, with bin 0 centred on the smallest.
 
         Without bin_width the bins are sd/8 of the combination, and a
-        zero-variance combination gives None.
+        zero-variance combination gives None.  Width, origin and counts
+        equal those of Histogram1D.of(values, bin_width), and the sd is
+        values.std(), bit for bit.
         """
         n = len(samples)
-        values = np.matmul(samples.values, np.asarray(coeffs), out=self._projection[:n])
+        sums, mins = zip(*self._per_range(self._project, n, samples.values, np.asarray(coeffs)))
         if bin_width is None:
-            sd = _sd(values, self._scratch[:n])
+            # sum() adds the ranges' sums in np.add.reduce's order
+            squares = self._per_range(self._square_deviations, n, sum(sums) / n)
+            sd = math.sqrt(sum(squares) / n)
             if sd == 0.0:
                 return None
             bin_width = sd / _BINS_PER_SIGMA
-        return Histogram1D.of(values, bin_width, work=(self._scratch[:n], self._idx[:n]))
+        origin = float(np.min(mins)) - 0.5 * bin_width
+        counts = self._per_range(self._bin_counts, n, origin, bin_width)
+        return Histogram1D(bin_width, _added(counts), origin)
 
     def entropy(self, samples: SampleSet, coeffs: tuple[float, float, float]) -> float:
         """Histogram entropy (bits) of samples @ coeffs at bins of sd/8.
@@ -229,10 +315,12 @@ def witness_from_samples(
         if not np.isfinite(w) or w <= 0.0:
             raise ValueError(f"{name} must be positive, got {w!r}")
 
-    work = _Workspace(samples_x, samples_k)
+    with _Workspace(samples_x, samples_k) as work:
+        hist_x = work.histogram(samples_x, coeffs.eta, bin_width_x)
+        hist_k = work.histogram(samples_k, coeffs.beta, bin_width_k)
     return histogram_report(
-        work.histogram(samples_x, coeffs.eta, bin_width_x),
-        work.histogram(samples_k, coeffs.beta, bin_width_k),
+        hist_x,
+        hist_k,
         coeffs,
         {
             "eta": list(coeffs.eta),
@@ -266,10 +354,10 @@ def sampled_witness_objective(
     This is the objective optimize_coefficients maximizes; -inf marks a
     degenerate (zero-variance) combination.
     """
-    work = _Workspace(samples_x, samples_k)
-    return _objective(
-        coeffs, work.entropy(samples_x, coeffs.eta), work.entropy(samples_k, coeffs.beta)
-    )
+    with _Workspace(samples_x, samples_k) as work:
+        return _objective(
+            coeffs, work.entropy(samples_x, coeffs.eta), work.entropy(samples_k, coeffs.beta)
+        )
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-3) -> tuple[float, float]:
@@ -306,7 +394,14 @@ def optimize_coefficients(
     The objective is sampled_witness_objective.  Its two entropy terms
     depend only on eta and only on beta, so each is computed once per
     distinct vector, in a memo local to this call, and every one of them is
-    taken through one workspace sized to the larger sample set.
+    taken through one workspace sized to the larger sample set.  From
+    _THREADED_ROWS rows that workspace runs half of each histogram's rows
+    on a worker thread for the length of the call; the result is the same.
+
+    The coefficients, and with them the sd/8 bins, are chosen on the very
+    samples the objective is evaluated on, so the in-sample objective of
+    the result is not a certificate: it is biased high, most at small n
+    (ROADMAP item 3).  Certify on samples the search did not see.
     """
     eta0 = np.abs(np.asarray(init.eta))
     beta0 = np.abs(np.asarray(init.beta))
@@ -318,60 +413,60 @@ def optimize_coefficients(
             beta=(beta0[0], signs_b[0] * beta0[0] * b2, signs_b[1] * beta0[0] * b3),
         )
 
-    work = _Workspace(samples_x, samples_k)
-    h_x = functools.cache(lambda eta: work.entropy(samples_x, eta))
-    h_k = functools.cache(lambda beta: work.entropy(samples_k, beta))
-    # a local, not an attribute of score: score referring to itself would be a
-    # reference cycle, and the workspace would live on until the collector ran
-    warned = False
+    with _Workspace(samples_x, samples_k) as work:
+        h_x = functools.cache(lambda eta: work.entropy(samples_x, eta))
+        h_k = functools.cache(lambda beta: work.entropy(samples_k, beta))
+        # a local, not an attribute of score: score referring to itself would be a
+        # reference cycle, and the workspace would live on until the collector ran
+        warned = False
 
-    def score(c: WitnessCoefficients) -> float:
-        nonlocal warned
-        val = _objective(c, h_x(c.eta), h_k(c.beta))
-        if val == -math.inf and not warned:
-            warnings.warn(
-                "degenerate (zero-variance) combination met during coefficient "
-                "search; affected axis left at its initial value",
-                RuntimeWarning,
-            )
-            warned = True
-        return val
+        def score(c: WitnessCoefficients) -> float:
+            nonlocal warned
+            val = _objective(c, h_x(c.eta), h_k(c.beta))
+            if val == -math.inf and not warned:
+                warnings.warn(
+                    "degenerate (zero-variance) combination met during coefficient "
+                    "search; affected axis left at its initial value",
+                    RuntimeWarning,
+                )
+                warned = True
+            return val
 
-    init_mags = np.array(
-        [eta0[1] / eta0[0], eta0[2] / eta0[0], beta0[1] / beta0[0], beta0[2] / beta0[0]]
-    )
-    init_mags = np.clip(init_mags, _MAG_LO, _MAG_HI)
-    patterns = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+        init_mags = np.array(
+            [eta0[1] / eta0[0], eta0[2] / eta0[0], beta0[1] / beta0[0], beta0[2] / beta0[0]]
+        )
+        init_mags = np.clip(init_mags, _MAG_LO, _MAG_HI)
+        patterns = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 
-    best, best_val = None, -math.inf
-    for se in patterns:
-        for sb in patterns:
-            cand = build(se, sb, init_mags)
-            val = score(cand)
-            if val > best_val:
-                best, best_val, best_signs = cand, val, (se, sb)
-    if best is None:  # every combination degenerate; nothing to refine
+        best, best_val = None, -math.inf
+        for se in patterns:
+            for sb in patterns:
+                cand = build(se, sb, init_mags)
+                val = score(cand)
+                if val > best_val:
+                    best, best_val, best_signs = cand, val, (se, sb)
+        if best is None:  # every combination degenerate; nothing to refine
+            return init
+
+        mags = init_mags.copy()
+        log_lo, log_hi = math.log(_MAG_LO), math.log(_MAG_HI)
+        for _sweep in range(2):
+            for axis in range(4):
+                def along(lm, axis=axis):
+                    trial = mags.copy()
+                    trial[axis] = math.exp(lm)
+                    return score(build(*best_signs, trial))
+
+                lm_best, val = _golden_max(along, log_lo, log_hi)
+                if val > best_val:  # best_val is finite, so this rules out -inf and nan
+                    mags[axis] = math.exp(lm_best)
+                    best_val = val
+                # degenerate or no improvement: keep the incumbent value
+
+        refined = build(*best_signs, mags)
+        if score(refined) >= score(init):
+            return refined
         return init
-
-    mags = init_mags.copy()
-    log_lo, log_hi = math.log(_MAG_LO), math.log(_MAG_HI)
-    for _sweep in range(2):
-        for axis in range(4):
-            def along(lm, axis=axis):
-                trial = mags.copy()
-                trial[axis] = math.exp(lm)
-                return score(build(*best_signs, trial))
-
-            lm_best, val = _golden_max(along, log_lo, log_hi)
-            if val > best_val:  # best_val is finite, so this rules out -inf and nan
-                mags[axis] = math.exp(lm_best)
-                best_val = val
-            # degenerate or no improvement: keep the incumbent value
-
-    refined = build(*best_signs, mags)
-    if score(refined) >= score(init):
-        return refined
-    return init
 
 
 # --- discrete-outcome witness ----------------------------------------------

@@ -340,6 +340,20 @@ def test_scan_pair_raises_either_basis_error_and_joins(monkeypatch, failing, sta
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("over", ["ignore", "raise"])
+def test_two_threads_keep_the_callers_errstate(over):
+    # warnings are errors in this suite, so a worker that ran under numpy's
+    # default errstate would raise on "ignore" and only warn on "raise"
+    big, one = np.array([1e200]), np.array([1.0])
+    with np.errstate(over=over):
+        if over == "raise":
+            with pytest.raises(FloatingPointError):
+                scan._on_two_threads(np.square, (big,), (one,))
+        else:
+            theirs, mine = scan._on_two_threads(np.square, (big,), (one,))
+            assert np.isinf(theirs[0]) and mine[0] == 1.0
+
+
 def test_concurrent_scan_pairs_under_fast_switching():
     # four scan_pair calls at once start eight threads on fewer cores; a
     # buffer handed to both bases of a call, or state shared between calls,

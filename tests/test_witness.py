@@ -2,11 +2,12 @@
 
 import gc
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triphoton import witness
@@ -176,20 +177,59 @@ def test_workspace_entropy_equals_reference_path():
         assert work.entropy(flat, coeffs) == -math.inf
 
 
+_ROWS = witness._THREADED_ROWS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 160), st.integers(_ROWS - 40, _ROWS + 40), st.integers(160, 5000)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+    coeffs=st.tuples(*[st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)] * 3),
+    flat=st.booleans(),
+    given_width=st.booleans(),
+)
+@example(n=100, seed=0, scale=1.0, coeffs=(1.0, -0.5, -0.5), flat=False, given_width=False)
+@example(n=_ROWS + 1, seed=1, scale=1.0, coeffs=(1.0, 1.0, 1.0), flat=False, given_width=False)
+def test_two_range_histogram_equals_one_pass(n, seed, scale, coeffs, flat, given_width):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((1 if flat else n, 3)) * scale
+    samples = SampleSet(values=np.repeat(rows, n, axis=0) if flat else rows, kind="position")
+    v = samples.values @ np.asarray(coeffs)
+    width = scale / 16 if given_width else v.std() / 8
+    with witness._Workspace(samples) as work:
+        # rows from _THREADED_ROWS on are split between the caller and the worker
+        assert (work._submit is not None) == (n >= _ROWS)
+        hist = work.histogram(samples, coeffs, width if given_width else None)
+    if width == 0.0:
+        assert hist is None
+        return
+    want = Histogram1D.of(v, width)
+    assert (hist.bin_width, hist.origin) == (want.bin_width, want.origin)
+    assert np.array_equal(hist.counts, want.counts)
+
+
 def test_optimizer_returns_pinned_coefficients():
-    # recorded before the search ran on a preallocated workspace
+    # 20k rows: recorded before the search ran on a preallocated workspace;
+    # 200k rows: recorded before it split each histogram's rows over two threads
     pins = {
-        (10.0, 3, 4): (
+        (10.0, 20_000, 3, 4): (
             (1.0, -0.5004058760127472, -0.5006285300367548),
             (1.0, 1.000805061302655, 1.0003599542806283),
         ),
-        (100.0, 5, 6): ((1.0, -0.4999083646903032, -0.5), (1.0, 1.0000849619984356, 1.0)),
+        (100.0, 20_000, 5, 6): ((1.0, -0.4999083646903032, -0.5), (1.0, 1.0000849619984356, 1.0)),
+        (100.0, 200_000, 5, 6): (
+            (1.0, -0.5000458239535829, -0.5000458239535829),
+            (1.0, 1.0000849619984356, 1.0),
+        ),
+        (30.0, 200_000, 9, 10): (
+            (1.0, -0.5001833210138877, -0.5001833210138877),
+            (1.0, 1.0000849619984356, 1.0000849619984356),
+        ),
     }
-    for (ratio, seed_x, seed_k), (eta, beta) in pins.items():
+    for (ratio, n, seed_x, seed_k), (eta, beta) in pins.items():
         s = TripleGaussianState(ratio, 1.0, 1.0)
-        best = optimize_coefficients(
-            sample_positions(s, 20_000, seed_x), sample_momenta(s, 20_000, seed_k)
-        )
+        best = optimize_coefficients(sample_positions(s, n, seed_x), sample_momenta(s, n, seed_k))
         assert best == WitnessCoefficients(eta=eta, beta=beta)
 
 
@@ -218,6 +258,64 @@ def test_coefficient_search_allocates_no_sample_sized_arrays():
     work = witness._Workspace(xs, ks)
     assert _traced_memory(lambda: work.entropy(xs, (1.0, -0.7, -0.2)))[1] < column / 8
     assert _traced_memory(lambda: work.histogram(ks, (1.0, 1.0, 1.0), 0.01))[1] < column / 8
+
+
+@pytest.fixture(scope="module")
+def threaded_samples():
+    s = TripleGaussianState(10.0, 1.0, 1.0)
+    return sample_positions(s, _ROWS, 21), sample_momenta(s, _ROWS, 22)
+
+
+_SEARCH_ENTRY_POINTS = {
+    "optimize": lambda xs, ks: optimize_coefficients(xs, ks),
+    "objective": lambda xs, ks: sampled_witness_objective(xs, ks, SPDC_COEFFICIENTS),
+    "from_samples": lambda xs, ks: witness_from_samples(xs, ks, SPDC_COEFFICIENTS, 0.05, 0.01),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, phase",
+    [
+        (entry, phase)
+        for entry in _SEARCH_ENTRY_POINTS
+        for phase in (None, "_project", "_square_deviations", "_bin_counts")
+        # given bin widths, witness_from_samples takes no sd
+        if (entry, phase) != ("from_samples", "_square_deviations")
+    ],
+)
+def test_search_worker_ends_with_the_call(monkeypatch, threaded_samples, entry, phase):
+    if phase is not None:
+        real = getattr(witness._Workspace, phase)
+
+        def fail_on_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError(f"worker {phase} failed")
+            return real(*args)
+
+        monkeypatch.setattr(witness._Workspace, phase, fail_on_worker)
+    before = threading.active_count()
+    if phase is None:
+        _SEARCH_ENTRY_POINTS[entry](*threaded_samples)
+    else:
+        with pytest.raises(RuntimeError, match=f"worker {phase} failed"):
+            _SEARCH_ENTRY_POINTS[entry](*threaded_samples)
+    # the worker was joined before the result or the error reached the caller
+    assert threading.active_count() == before
+
+
+def test_search_worker_keeps_the_callers_errstate():
+    # the worker gets rows [h, n): there the squared deviations from the
+    # mean, 0, underflow; on the caller's rows [0, h) they are 1
+    n = _ROWS
+    h = witness._split(n)
+    x = np.zeros((n, 3))
+    x[:h:2, 0], x[1:h:2, 0] = 1.0, -1.0
+    x[h::2, 0], x[h + 1 :: 2, 0] = 1e-200, -1e-200
+    samples = SampleSet(values=x, kind="position")
+    with np.errstate(under="raise"), witness._Workspace(samples) as work:
+        assert work._submit is not None
+        with pytest.raises(FloatingPointError, match="underflow"):
+            work.entropy(samples, (1.0, 1.0, 1.0))
 
 
 def test_optimizer_recovers_sign_pattern_from_unsigned_start():
