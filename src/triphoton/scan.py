@@ -16,9 +16,8 @@ per triplet and sorts the narrower codes faster.  The codes are sorted
 once and the tree is refined from that array, so it equals the tree of a
 one-shot draw.  scan_pair runs each basis end to end (draw, encode, sort,
 refine, collapse) on its own thread, and export_pair builds the two trees'
-CSV bytes the same way, both through _on_two_threads, which takes its
-worker from threads.worker_thread.  The two threads share no array they
-write, so the trees and bytes are those of scanning the bases in turn.
+CSV bytes the same way; threads.py states the rule both follow, so the
+trees and bytes are those of scanning the bases in turn.
 The collapse and the export work through the leaves _LEAF_BLOCK at a time,
 so that the two bases' peaks, which now overlap, stay small.
 
@@ -32,7 +31,6 @@ of a product state certifies 12.979 gebits (ROADMAP item 1).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -393,19 +391,6 @@ def tree_to_linear_histograms(
     return Histogram1D.of(values, width, weights=counts)
 
 
-def _on_two_threads(fn: Callable, worker_args: tuple, caller_args: tuple) -> tuple:
-    """(fn(*worker_args), fn(*caller_args)), the first on a worker thread.
-
-    The worker runs in the caller's context and is joined on every path
-    (threads.worker_thread); result() re-raises an exception the worker
-    raised.  If both calls raise, the caller's exception propagates.
-    """
-    with worker_thread("triphoton-scan-worker") as submit:
-        theirs = submit(fn, *worker_args)
-        mine = fn(*caller_args)
-    return theirs.result(), mine
-
-
 def scan_pair(
     s: TripleGaussianState,
     coeffs: WitnessCoefficients = SPDC_COEFFICIENTS,
@@ -422,9 +407,9 @@ def scan_pair(
 
     Each basis runs end to end (draw, encode, sort, refine, collapse to its
     combination histogram) on its own thread: position on a worker thread,
-    momentum on the calling one.  The two share no state but a list of two
-    code buffers allocated here, from which each takes one and frees it
-    once its tree is built.  The trees equal those of
+    momentum on the calling one (threads.py).  The two share no state but
+    a list of two code buffers allocated here, from which each takes one
+    and frees it once its tree is built.  The trees equal those of
     simulate_adaptive_scan on the same streams.
     """
     threshold = _checked_threshold(n_samples, threshold, max_depth)
@@ -438,9 +423,10 @@ def scan_pair(
         tree = _scan_tree(s, basis, n_samples, threshold, max_depth, stream, buffers.pop())
         return tree, tree_to_linear_histograms(tree, coeffs)
 
-    (tree_x, hist_x), (tree_k, hist_k) = _on_two_threads(
-        scan_basis, ("position", ss_x), ("momentum", ss_k)
-    )
+    with worker_thread("triphoton-scan-worker") as both:
+        (tree_x, hist_x), (tree_k, hist_k) = both(
+            scan_basis, ("position", ss_x), ("momentum", ss_k)
+        )
     try:
         exact = exact_e3f(s)
     except UnsupportedStateError:
@@ -474,4 +460,5 @@ def scan_pair(
 
 def export_pair(tree_x: PartitionTree, tree_k: PartitionTree) -> tuple[bytes, bytes]:
     """record_bytes() of both trees, the first on a worker thread."""
-    return _on_two_threads(PartitionTree.record_bytes, (tree_x,), (tree_k,))
+    with worker_thread("triphoton-scan-worker") as both:
+        return both(PartitionTree.record_bytes, (tree_x,), (tree_k,))

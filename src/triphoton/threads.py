@@ -1,10 +1,14 @@
 """The one place triphoton starts a thread.
 
-scan_pair and export_pair run their two bases on two threads
-(scan._on_two_threads), and the coefficient search splits each histogram's
-rows between two (witness._Workspace).  Both take their second thread from
-worker_thread.  Neither shares an array between the threads' writes, so
-each result is the one a single thread computes.
+Two callers take a second thread from worker_thread: scan_pair and
+export_pair run one basis on each thread, and the coefficient search
+(witness._Workspace) splits a histogram of at least witness._THREADED_ROWS
+rows at numpy's pairwise-sum midpoint and runs the second range on the
+worker; a smaller histogram makes one pass on the calling thread.  Either
+way the two threads share no array that either writes, so every result is
+the one a single thread computes.  Each worker call runs in a copy of the
+caller's context, so numpy's errstate holds there too, and the worker is
+joined before the with block is left, also when a call raises.
 """
 
 from __future__ import annotations
@@ -12,18 +16,24 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from collections.abc import Callable, Iterator
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 
 @contextlib.contextmanager
-def worker_thread(name: str) -> Iterator[Callable[..., Future]]:
-    """One worker thread for the with block; yields submit(fn, *args) -> Future.
+def worker_thread(name: str) -> Iterator[Callable[[Callable, tuple, tuple], tuple]]:
+    """One worker thread for the with block; yields both(fn, worker_args, caller_args).
 
-    Each call runs in a copy of the submitting thread's context, so the
-    worker sees the caller's context variables, numpy's errstate among
-    them; a bare ThreadPoolExecutor runs it in the worker's own context.
-    Leaving the block joins the worker on every path, so no thread
-    outlives it.
+    both returns (fn(*worker_args), fn(*caller_args)), the first computed
+    on the worker while the caller computes the second.  It re-raises what
+    the worker raised; if both calls raise, the caller's exception
+    propagates.  The thread starts at the first call of both.
     """
     with ThreadPoolExecutor(1, thread_name_prefix=name) as pool:
-        yield lambda fn, *args: pool.submit(contextvars.copy_context().run, fn, *args)
+
+        def both(fn: Callable, worker_args: tuple, caller_args: tuple) -> tuple:
+            # a bare submit would run fn in the worker's own context
+            theirs = pool.submit(contextvars.copy_context().run, fn, *worker_args)
+            mine = fn(*caller_args)
+            return theirs.result(), mine
+
+        yield both

@@ -20,16 +20,12 @@ basis per party, inverse overlap Omega_i):
 which evaluates to exactly 1 gebit for GHZ statistics in the Z/X bases.
 
 optimize_coefficients, sampled_witness_objective and witness_from_samples
-take their histograms through one _Workspace per call.  From
-_THREADED_ROWS rows it holds a worker thread (threads.worker_thread) for
-the call and splits each histogram's rows at numpy's pairwise-sum midpoint
-between the worker and the caller; the partial sums then add up to numpy's
-own, so every sd, bin, count and chosen coefficient equals one thread's.
+take their histograms through one _Workspace per call, which splits the
+larger ones between two threads as threads.py describes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import math
@@ -50,8 +46,6 @@ from .entropy import (
 from .report import EntanglementReport
 from .states import SampleSet, TripleGaussianState, exact_e3f, to_momentum
 from .threads import worker_thread
-
-_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -165,9 +159,10 @@ def histogram_report(
 
 _BINS_PER_SIGMA = 8  # self-scaling histogram resolution for the objective
 
-# Rows from which a workspace runs a histogram's second row range on its
-# worker thread.  optimize_coefficients, median ms per call on one thread ->
-# two (2-vCPU VM, one BLAS thread; BENCH_search.json): 35 -> 94 at 20k rows,
+# Rows from which a histogram is split in two row ranges, the second run on
+# the workspace's worker thread; it must exceed 128 (see _split).
+# optimize_coefficients, median ms per call on one thread -> two (2-vCPU
+# VM, one BLAS thread; BENCH_search.json): 35 -> 94 at 20k rows,
 # 88 -> 88 at 75k, 183 -> 159 at 100k, 320 -> 234 at 200k.  Below this the
 # three handoffs per histogram, about 50 us each, cost more than the halved
 # passes save.
@@ -179,10 +174,7 @@ def _split(n: int) -> int:
 
     np.add.reduce over n > 128 contiguous values adds the sums of [0, h) and
     [h, n) last, so the two ranges' partial sums add up to it bit for bit.
-    Below 129 values it sums in one block, so it returns 0: no split.
     """
-    if n <= 128:
-        return 0
     return n // 2 - (n // 2) % 8
 
 
@@ -201,13 +193,15 @@ class _Workspace:
     Every combination histogram taken through one workspace reuses these
     three arrays, so none allocates an array the size of its sample set.
 
-    Each histogram runs in three phases over the rows [0, h) and [h, n),
-    h = _split(n): project and take a sum and a min, square the deviations
-    and sum them, then bin and count.  The calling thread adds the two sums
-    and the two count arrays, so every value equals that of one pass over
-    all rows.  Used as a context manager on at least _THREADED_ROWS rows,
-    the workspace owns one worker thread that runs [h, n) while the caller
-    runs [0, h); the worker is joined when the block is left.
+    Each histogram runs in three phases: project and take a sum and a min,
+    square the deviations and sum them, then bin and count.  A histogram of
+    at least _THREADED_ROWS rows runs each phase over the rows [0, h) on the
+    calling thread and [h, n), h = _split(n), on the worker (threads.py),
+    and the caller adds the two sums and the two count arrays, so every
+    value equals that of one pass over all rows.  A smaller one makes that
+    one pass on the calling thread.  Used as a context manager, the
+    workspace holds the worker for the block; a histogram of _THREADED_ROWS
+    rows or more needs it.
     """
 
     def __init__(self, *sample_sets: SampleSet):
@@ -215,31 +209,23 @@ class _Workspace:
         self._projection = np.empty(n)
         self._scratch = np.empty(n)
         self._idx = np.empty(n, dtype=np.int64)
-        self._threads = contextlib.ExitStack()
-        self._submit = None  # no worker: both row ranges run on the calling thread
 
     def __enter__(self) -> "_Workspace":
-        if self._projection.size >= _THREADED_ROWS:
-            self._submit = self._threads.enter_context(worker_thread("triphoton-search-worker"))
+        # the worker thread starts only when a histogram is first split
+        self._worker = worker_thread("triphoton-search-worker")
+        self._both = self._worker.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
-        self._submit = None
-        self._threads.close()
+        self._worker.__exit__(*exc)
 
     def _per_range(self, phase, n: int, *args) -> list:
-        """[phase(rows, *args)] for each row range of n rows, in order.
-
-        With a worker the last range runs there while the caller runs the
-        first; result() re-raises what the worker raised.
-        """
-        h = _split(n)
-        if h == 0:
+        """[phase(rows, *args)] for each row range of n rows, in order."""
+        if n < _THREADED_ROWS:
             return [phase(slice(0, n), *args)]
-        rest = slice(h, n)
-        theirs = self._submit(phase, rest, *args) if self._submit else None
-        mine = phase(slice(0, h), *args)
-        return [mine, theirs.result() if theirs else phase(rest, *args)]
+        h = _split(n)
+        theirs, mine = self._both(phase, (slice(h, n), *args), (slice(0, h), *args))
+        return [mine, theirs]
 
     def _project(self, rows: slice, values: np.ndarray, coeffs: np.ndarray) -> tuple:
         out = np.matmul(values[rows], coeffs, out=self._projection[rows])
@@ -290,6 +276,16 @@ class _Workspace:
         return -math.inf if hist is None else differential_entropy_from_histogram(hist)
 
 
+def _check_sample_sets(samples_x: SampleSet, samples_k: SampleSet) -> None:
+    """Raise ValueError unless samples_x holds positions, samples_k momenta, and both have rows."""
+    if samples_x.kind != "position":
+        raise ValueError(f"samples_x must be position samples, got {samples_x.kind!r}")
+    if samples_k.kind != "momentum":
+        raise ValueError(f"samples_k must be momentum samples, got {samples_k.kind!r}")
+    if len(samples_x) == 0 or len(samples_k) == 0:
+        raise ValueError("sample sets must be non-empty")
+
+
 def witness_from_samples(
     samples_x: SampleSet,
     samples_k: SampleSet,
@@ -305,12 +301,7 @@ def witness_from_samples(
     occupied bin they fall below them, and the witness can then exceed the
     state's entanglement (ROADMAP item 1).
     """
-    if samples_x.kind != "position":
-        raise ValueError(f"samples_x must be position samples, got {samples_x.kind!r}")
-    if samples_k.kind != "momentum":
-        raise ValueError(f"samples_k must be momentum samples, got {samples_k.kind!r}")
-    if len(samples_x) == 0 or len(samples_k) == 0:
-        raise ValueError("sample sets must be non-empty")
+    _check_sample_sets(samples_x, samples_k)
     for name, w in (("bin_width_x", bin_width_x), ("bin_width_k", bin_width_k)):
         if not np.isfinite(w) or w <= 0.0:
             raise ValueError(f"{name} must be positive, got {w!r}")
@@ -354,6 +345,7 @@ def sampled_witness_objective(
     This is the objective optimize_coefficients maximizes; -inf marks a
     degenerate (zero-variance) combination.
     """
+    _check_sample_sets(samples_x, samples_k)
     with _Workspace(samples_x, samples_k) as work:
         return _objective(
             coeffs, work.entropy(samples_x, coeffs.eta), work.entropy(samples_k, coeffs.beta)
@@ -394,15 +386,15 @@ def optimize_coefficients(
     The objective is sampled_witness_objective.  Its two entropy terms
     depend only on eta and only on beta, so each is computed once per
     distinct vector, in a memo local to this call, and every one of them is
-    taken through one workspace sized to the larger sample set.  From
-    _THREADED_ROWS rows that workspace runs half of each histogram's rows
-    on a worker thread for the length of the call; the result is the same.
+    taken through one workspace sized to the larger sample set, which
+    splits the larger histograms between two threads (threads.py).
 
     The coefficients, and with them the sd/8 bins, are chosen on the very
     samples the objective is evaluated on, so the in-sample objective of
     the result is not a certificate: it is biased high, most at small n
     (ROADMAP item 3).  Certify on samples the search did not see.
     """
+    _check_sample_sets(samples_x, samples_k)
     eta0 = np.abs(np.asarray(init.eta))
     beta0 = np.abs(np.asarray(init.beta))
 

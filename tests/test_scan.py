@@ -40,6 +40,7 @@ from triphoton.states import (
     sample_positions,
     to_momentum,
 )
+from triphoton.threads import worker_thread
 from triphoton.witness import SPDC_COEFFICIENTS, histogram_report
 
 _LOG2_3SQRT2E = math.log2(3.0 * math.sqrt(2.0) * math.e)
@@ -345,13 +346,25 @@ def test_two_threads_keep_the_callers_errstate(over):
     # warnings are errors in this suite, so a worker that ran under numpy's
     # default errstate would raise on "ignore" and only warn on "raise"
     big, one = np.array([1e200]), np.array([1.0])
-    with np.errstate(over=over):
+    with np.errstate(over=over), worker_thread("test-worker") as both:
         if over == "raise":
             with pytest.raises(FloatingPointError):
-                scan._on_two_threads(np.square, (big,), (one,))
+                both(np.square, (big,), (one,))
         else:
-            theirs, mine = scan._on_two_threads(np.square, (big,), (one,))
+            theirs, mine = both(np.square, (big,), (one,))
             assert np.isinf(theirs[0]) and mine[0] == 1.0
+
+
+def test_two_failing_threads_raise_the_callers_error():
+    def fail(who):
+        raise RuntimeError(f"{who} failed")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="caller failed"):
+        with worker_thread("test-worker") as both:
+            both(fail, ("worker",), ("caller",))
+    # the worker was joined before the error left the with block
+    assert threading.active_count() == before
 
 
 def test_concurrent_scan_pairs_under_fast_switching():

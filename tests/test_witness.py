@@ -4,6 +4,7 @@ import gc
 import math
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -190,6 +191,7 @@ _ROWS = witness._THREADED_ROWS
     given_width=st.booleans(),
 )
 @example(n=100, seed=0, scale=1.0, coeffs=(1.0, -0.5, -0.5), flat=False, given_width=False)
+@example(n=132, seed=0, scale=1.0, coeffs=(1.0, -0.5, -0.5), flat=False, given_width=False)
 @example(n=_ROWS + 1, seed=1, scale=1.0, coeffs=(1.0, 1.0, 1.0), flat=False, given_width=False)
 def test_two_range_histogram_equals_one_pass(n, seed, scale, coeffs, flat, given_width):
     rng = np.random.default_rng(seed)
@@ -197,9 +199,8 @@ def test_two_range_histogram_equals_one_pass(n, seed, scale, coeffs, flat, given
     samples = SampleSet(values=np.repeat(rows, n, axis=0) if flat else rows, kind="position")
     v = samples.values @ np.asarray(coeffs)
     width = scale / 16 if given_width else v.std() / 8
-    with witness._Workspace(samples) as work:
-        # rows from _THREADED_ROWS on are split between the caller and the worker
-        assert (work._submit is not None) == (n >= _ROWS)
+    # the lowest threshold _split allows, so that n from 129 on is split
+    with mock.patch.object(witness, "_THREADED_ROWS", 129), witness._Workspace(samples) as work:
         hist = work.histogram(samples, coeffs, width if given_width else None)
     if width == 0.0:
         assert hist is None
@@ -303,7 +304,58 @@ def test_search_worker_ends_with_the_call(monkeypatch, threaded_samples, entry, 
     assert threading.active_count() == before
 
 
-def test_search_worker_keeps_the_callers_errstate():
+_PHASES = ("_project", "_square_deviations", "_bin_counts")
+
+
+def _recorded_phases(monkeypatch) -> tuple[list, list]:
+    """Two lists, each with one entry per _Workspace phase call from here on.
+
+    The first holds (phase, runs on the search worker, (start, stop) of its
+    rows), the second the number of search worker threads alive.
+    """
+    calls, workers = [], []
+
+    def is_worker(thread):
+        return thread.name.startswith("triphoton-search-worker")
+
+    for phase in _PHASES:
+        real = getattr(witness._Workspace, phase)
+
+        def record(self, rows, *args, phase=phase, real=real):
+            calls.append((phase, is_worker(threading.current_thread()), (rows.start, rows.stop)))
+            workers.append(sum(map(is_worker, threading.enumerate())))
+            return real(self, rows, *args)
+
+        monkeypatch.setattr(witness._Workspace, phase, record)
+    return calls, workers
+
+
+def test_a_histogram_is_split_only_from_threaded_rows(monkeypatch, threaded_samples):
+    xs, ks = threaded_samples
+    n = _ROWS
+    h = witness._split(n)
+    fewer_x = SampleSet(values=xs.values[: n - 1], kind="position")
+    fewer_k = SampleSet(values=ks.values[: n - 1], kind="momentum")
+    calls, workers = _recorded_phases(monkeypatch)
+
+    # below _THREADED_ROWS every phase makes one pass on the calling thread,
+    # and no worker thread starts
+    sampled_witness_objective(fewer_x, fewer_k, SPDC_COEFFICIENTS)
+    assert calls == [(p, False, (0, n - 1)) for p in _PHASES] * 2
+    assert workers == [0] * 6
+
+    # only the position histogram has _THREADED_ROWS rows: its second range
+    # runs on the worker, and the momentum histogram stays on the caller
+    calls.clear()
+    sampled_witness_objective(xs, fewer_k, SPDC_COEFFICIENTS)
+    position, momentum = calls[:6], calls[6:]
+    assert sorted(position) == sorted(
+        [(p, False, (0, h)) for p in _PHASES] + [(p, True, (h, n)) for p in _PHASES]
+    )
+    assert momentum == [(p, False, (0, n - 1)) for p in _PHASES]
+
+
+def test_search_worker_keeps_the_callers_errstate(monkeypatch):
     # the worker gets rows [h, n): there the squared deviations from the
     # mean, 0, underflow; on the caller's rows [0, h) they are 1
     n = _ROWS
@@ -312,10 +364,27 @@ def test_search_worker_keeps_the_callers_errstate():
     x[:h:2, 0], x[1:h:2, 0] = 1.0, -1.0
     x[h::2, 0], x[h + 1 :: 2, 0] = 1e-200, -1e-200
     samples = SampleSet(values=x, kind="position")
+    calls, _ = _recorded_phases(monkeypatch)
     with np.errstate(under="raise"), witness._Workspace(samples) as work:
-        assert work._submit is not None
         with pytest.raises(FloatingPointError, match="underflow"):
             work.entropy(samples, (1.0, 1.0, 1.0))
+    assert ("_square_deviations", True, (h, n)) in calls
+
+
+@pytest.mark.parametrize("entry", _SEARCH_ENTRY_POINTS)
+def test_entry_points_check_their_sample_sets(entry):
+    s = TripleGaussianState(10.0, 1.0, 1.0)
+    xs, ks = sample_positions(s, 1000, 0), sample_momenta(s, 1000, 1)
+    call = _SEARCH_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="samples_x must be position samples"):
+        call(ks, xs)
+    with pytest.raises(ValueError, match="samples_k must be momentum samples"):
+        call(xs, xs)
+    no_x = SampleSet(values=np.zeros((0, 3)), kind="position")
+    no_k = SampleSet(values=np.zeros((0, 3)), kind="momentum")
+    for empty in ((no_x, ks), (xs, no_k)):
+        with pytest.raises(ValueError, match="sample sets must be non-empty"):
+            call(*empty)
 
 
 def test_optimizer_recovers_sign_pattern_from_unsigned_start():
