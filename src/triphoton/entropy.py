@@ -8,9 +8,12 @@ Conventions used throughout:
 * A histogram with normalized counts p_j and bin width w estimates the
   differential entropy of the underlying density as H(p) + log2(w).
   Flattening a density within bins can only raise its continuous entropy,
-  so the histogram value is an over-estimate of the true differential
-  entropy in the large-sample limit.  Witness formulas subtract these
-  entropies, which is what keeps the resulting bounds conservative.
+  so the binned entropy over-estimates the true one.  But the plug-in H(p)
+  of N samples over m possible bins is biased low, by at most
+  plugin_bias_bits(m, N) = log2(1 + (m-1)/N) in expectation.  Witness
+  formulas subtract the histogram entropy plus that finite-sample term,
+  which keeps the resulting bounds conservative in expectation at any N;
+  no confidence term covers one draw's spread about that expectation.
 """
 
 from __future__ import annotations
@@ -199,17 +202,20 @@ def gaussian_differential_entropy(sigma: float) -> float:
 
 
 def differential_entropy_from_histogram(hist: Histogram1D) -> float:
-    """H(normalized counts) + log2(bin width), in bits.
+    """Plug-in H(normalized counts) + log2(bin width), in bits.
 
-    Over-estimates the differential entropy of the sampled density in the
-    large-sample limit (bin flattening cannot lower continuous entropy), the
-    conservative direction for the witnesses built on it.  With few samples
-    per occupied bin it falls below the truth instead: `triphoton simulate
-    --sigma-u 1 --sigma-v 1 -n 1000 --depth 20 --threshold 1` certifies
-    12.979 gebits of a product state (ROADMAP item 1).
+    Biased low by at most plugin_bias_bits(m, N) in expectation, which a
+    conservative witness adds (see the module docstring).
     """
     total = hist.total
     if total == 0:
         raise ValueError("histogram has no counts")
     p = hist.counts / total
     return float(-_xlog2x(p).sum() + np.log2(hist.bin_width))
+
+
+def plugin_bias_bits(support_bins: int, n: int) -> float:
+    """log2(1 + (m-1)/N), bits: the plug-in entropy of N samples over m bins is
+    at most this far below the binned density's (Paninski, Neural Comput. 15,
+    1191 (2003))."""
+    return float(np.log1p((support_bins - 1) / n) / np.log(2.0))

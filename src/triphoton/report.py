@@ -62,7 +62,6 @@ class EntanglementReport:
     certified_gebits : max(0, witness_gebits)
     entropy_x_bits   : position-combination entropy that entered the witness
     entropy_k_bits   : momentum-combination entropy that entered the witness
-    bootstrap_se     : bootstrap standard error of the witness, when sampled
     """
 
     inputs: dict
@@ -71,7 +70,6 @@ class EntanglementReport:
     certified_gebits: float | None = None  # derived from witness when omitted
     entropy_x_bits: float
     entropy_k_bits: float
-    bootstrap_se: float | None = None
     tool_version: str = __version__
 
     def __post_init__(self):
@@ -82,13 +80,6 @@ class EntanglementReport:
             raise ValueError(
                 f"certified_gebits {self.certified_gebits!r} != max(0, witness)"
             )
-        if self.exact_e3f_gebits is not None and self.bootstrap_se is None:
-            # exact value known analytically: witness may not exceed it
-            if self.witness_gebits > self.exact_e3f_gebits + 1e-9:
-                raise ValueError(
-                    f"witness {self.witness_gebits!r} exceeds exact "
-                    f"E3F {self.exact_e3f_gebits!r}"
-                )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -24,9 +24,9 @@ so that the two bases' peaks, which now overlap, stay small.
 Leaf-level counts are then collapsed onto the witness's linear combinations
 (cell centers only, mimicking what such an apparatus can record) and fed to
 the entropic witness.  Every approximation made here widens the effective
-bins, so in the large-sample limit the entanglement estimate errs low.  With
-few counts per leaf it can err high: threshold 1 at depth 20 on 1000 samples
-of a product state certifies 12.979 gebits (ROADMAP item 1).
+bins, and the witness adds the plug-in bias term for the bins that the box's
+projection spans, so the estimate errs low in expectation even with few
+counts per leaf.
 """
 
 from __future__ import annotations
@@ -374,9 +374,8 @@ def tree_to_linear_histograms(
     coarsest first and skipped while they hold at most 1% of all counts, so
     a handful of stragglers in shallow tail cells cannot pin the width at
     the box scale.  At least 99% of the counts sit in cells no wider than
-    the chosen bin, which in the large-sample limit keeps the entropy
-    estimate biased high and the witness an under-estimate (not so with few
-    counts per leaf; see the module docstring).
+    the chosen bin, which keeps the binned entropy biased high; scan_pair
+    adds the plug-in bias term for few counts per bin.
     """
     if tree.total_count <= 0:
         raise ValueError("tree holds no counts")
@@ -391,6 +390,14 @@ def tree_to_linear_histograms(
     return Histogram1D.of(values, width, weights=counts)
 
 
+def _support_bins(tree: PartitionTree, hist: Histogram1D, cvec: tuple[float, float, float]) -> int:
+    """m = 2 B sum|c_i| / width + 1, the bins of hist's width that the box's projection spans.
+
+    The width is sum|c_i| times a cell side 2 B / 2**d, so m is 2**d + 1.
+    """
+    return round(2.0 * float(np.abs(cvec).sum()) * (tree.box_halfwidth / hist.bin_width)) + 1
+
+
 def scan_pair(
     s: TripleGaussianState,
     coeffs: WitnessCoefficients = SPDC_COEFFICIENTS,
@@ -401,9 +408,10 @@ def scan_pair(
 ) -> tuple[PartitionTree, PartitionTree, EntanglementReport]:
     """Scan both bases, histogram, witness; returns both trees and the report.
 
-    Splits the seed into independent position, momentum, and bootstrap
-    streams, so reports are reproducible bit for bit.  The exact
-    entanglement value is attached when the state admits one.
+    Splits the seed into independent position and momentum streams, so
+    reports are reproducible bit for bit.  The exact entanglement value is
+    attached when the state admits one.  Each entropy's plug-in bias term
+    counts the bins that the box's projection spans (_support_bins).
 
     Each basis runs end to end (draw, encode, sort, refine, collapse to its
     combination histogram) on its own thread: position on a worker thread,
@@ -413,7 +421,7 @@ def scan_pair(
     simulate_adaptive_scan on the same streams.
     """
     threshold = _checked_threshold(n_samples, threshold, max_depth)
-    ss_x, ss_k, ss_boot = np.random.SeedSequence(seed).spawn(3)
+    ss_x, ss_k = np.random.SeedSequence(seed).spawn(2)
     # both code buffers come from this thread's heap, where the memory they
     # leave is reused by later work here; a worker thread's heap keeps it
     buffers = [np.empty(n_samples, dtype=_code_dtype(max_depth)) for _ in _BASES]
@@ -452,7 +460,7 @@ def scan_pair(
             "box_halfwidth_x": tree_x.box_halfwidth,
             "box_halfwidth_k": tree_k.box_halfwidth,
         },
-        np.random.default_rng(ss_boot),
+        (_support_bins(tree_x, hist_x, coeffs.eta), _support_bins(tree_k, hist_k, coeffs.beta)),
         exact,
     )
     return tree_x, tree_k, report

@@ -6,11 +6,9 @@ Continuous form, for linear combinations of the three photon positions
     E3F >= log2(2 pi |eta-bar||beta-bar|) - h(eta.x) - h(beta.k)   [gebits]
 
 with |eta-bar||beta-bar| = min_i |eta_i|*|beta_i| over the three parties.
-In the large-sample limit histogram entropy estimates over-estimate h, so a
-witness built from measured or simulated samples under-estimates the
-entanglement.  With few samples per occupied bin the plug-in estimate is
-biased low instead, and the witness can then certify entanglement that the
-state does not hold (ROADMAP item 1 gives reproducers).
+histogram_report adds the plug-in bias term (entropy.py) to each histogram
+entropy, so a witness from measured or simulated samples under-estimates the
+entanglement in expectation at any sample count.
 
 Discrete form, for three-party outcome tables Q (one basis) and R (a second
 basis per party, inverse overlap Omega_i):
@@ -41,6 +39,7 @@ from .entropy import (
     conditional_entropy,
     differential_entropy_from_histogram,
     gaussian_differential_entropy,
+    plugin_bias_bits,
     stacked_mutual_information,
 )
 from .report import EntanglementReport
@@ -89,11 +88,17 @@ def continuous_witness(coeffs: WitnessCoefficients, h_x_bits: float, h_k_bits: f
 
 
 def analytic_report(s: TripleGaussianState) -> EntanglementReport:
-    """Exact E3F plus the witness evaluated with exact Gaussian entropies."""
+    """Exact E3F plus the witness evaluated with exact Gaussian entropies.
+
+    With exact entropies witness <= exact is a theorem; ValueError if not.
+    """
     coeffs = SPDC_COEFFICIENTS
     dual = to_momentum(s)
     h_x = gaussian_differential_entropy(math.sqrt(1.5) * s.sigma_v)
     h_k = gaussian_differential_entropy(math.sqrt(3.0) * dual.sigma_u)
+    witness, exact = continuous_witness(coeffs, h_x, h_k), exact_e3f(s)
+    if witness > exact + 1e-9:
+        raise ValueError(f"witness {witness!r} exceeds exact E3F {exact!r}")
     return EntanglementReport(
         inputs={
             "sigma_u": s.sigma_u,
@@ -102,34 +107,11 @@ def analytic_report(s: TripleGaussianState) -> EntanglementReport:
             "eta": list(coeffs.eta),
             "beta": list(coeffs.beta),
         },
-        witness_gebits=continuous_witness(coeffs, h_x, h_k),
+        witness_gebits=witness,
         entropy_x_bits=h_x,
         entropy_k_bits=h_k,
-        exact_e3f_gebits=exact_e3f(s),
+        exact_e3f_gebits=exact,
     )
-
-
-_BOOTSTRAP_RESAMPLES = 64
-
-
-def _witness_bootstrap_se(
-    hist_x: Histogram1D, hist_k: Histogram1D, rng: np.random.Generator
-) -> float:
-    """Bootstrap sd of (h_x + h_k) under multinomial count resampling."""
-    vals = np.empty(_BOOTSTRAP_RESAMPLES)
-    px = hist_x.counts / hist_x.total
-    pk = hist_k.counts / hist_k.total
-    for i in range(_BOOTSTRAP_RESAMPLES):
-        cx = rng.multinomial(hist_x.total, px)
-        ck = rng.multinomial(hist_k.total, pk)
-        hx = differential_entropy_from_histogram(
-            Histogram1D(hist_x.bin_width, cx, hist_x.origin)
-        )
-        hk = differential_entropy_from_histogram(
-            Histogram1D(hist_k.bin_width, ck, hist_k.origin)
-        )
-        vals[i] = hx + hk
-    return float(vals.std(ddof=1))
 
 
 def histogram_report(
@@ -137,23 +119,24 @@ def histogram_report(
     hist_k: Histogram1D,
     coeffs: WitnessCoefficients,
     inputs: dict,
-    rng: np.random.Generator,
+    support_bins: tuple[int, int],
     exact_e3f_gebits: float | None = None,
 ) -> EntanglementReport:
     """Witness report from the position and momentum combination histograms.
 
-    The bootstrap SE resamples both histograms _BOOTSTRAP_RESAMPLES times
-    from rng; that count is echoed as the last key of the report's inputs.
+    support_bins holds each histogram's m, the bins its values could fall
+    in.  Each entropy is the plug-in value plus plugin_bias_bits(m, N), and
+    the two m are echoed as the last keys of the report's inputs.
     """
-    h_x = differential_entropy_from_histogram(hist_x)
-    h_k = differential_entropy_from_histogram(hist_k)
+    m_x, m_k = support_bins
+    h_x = differential_entropy_from_histogram(hist_x) + plugin_bias_bits(m_x, hist_x.total)
+    h_k = differential_entropy_from_histogram(hist_k) + plugin_bias_bits(m_k, hist_k.total)
     return EntanglementReport(
-        inputs={**inputs, "bootstrap_resamples": _BOOTSTRAP_RESAMPLES},
+        inputs={**inputs, "support_bins_x": m_x, "support_bins_k": m_k},
         witness_gebits=continuous_witness(coeffs, h_x, h_k),
         entropy_x_bits=h_x,
         entropy_k_bits=h_k,
         exact_e3f_gebits=exact_e3f_gebits,
-        bootstrap_se=_witness_bootstrap_se(hist_x, hist_k, rng),
     )
 
 
@@ -296,10 +279,9 @@ def witness_from_samples(
     """Estimate the witness from position and momentum sample sets.
 
     Histograms the two linear combinations at the given widths and applies
-    the continuous witness to the histogram entropies.  Those over-estimate
-    the true entropies only in the large-sample limit: with few samples per
-    occupied bin they fall below them, and the witness can then exceed the
-    state's entanglement (ROADMAP item 1).
+    the continuous witness to the bias-corrected histogram entropies
+    (histogram_report).  With no box, each m is the observed range (the
+    bins from the smallest value to the largest), so m depends on the data.
     """
     _check_sample_sets(samples_x, samples_k)
     for name, w in (("bin_width_x", bin_width_x), ("bin_width_k", bin_width_k)):
@@ -321,7 +303,7 @@ def witness_from_samples(
             "bin_width_x": float(bin_width_x),
             "bin_width_k": float(bin_width_k),
         },
-        np.random.default_rng(0),
+        (hist_x.counts.size, hist_k.counts.size),
     )
 
 

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from triphoton.report import EntanglementReport, json_dumps
+from triphoton.states import TripleGaussianState
+from triphoton.witness import analytic_report
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -18,7 +20,6 @@ def _report(**overrides):
         entropy_x_bits=-1.2,
         entropy_k_bits=0.4,
         exact_e3f_gebits=2.686845696919245,
-        bootstrap_se=0.01,
     )
     kw.update(overrides)
     return EntanglementReport(**kw)
@@ -37,18 +38,14 @@ def test_round_trip_is_lossless_and_stable():
     entropy_x=_FINITE,
     entropy_k=_FINITE,
     exact=st.none() | _FINITE,
-    bootstrap_se=st.none() | _FINITE,
 )
-def test_round_trip_property(inputs, witness, entropy_x, entropy_k, exact, bootstrap_se):
-    if exact is not None and bootstrap_se is None:
-        exact = max(exact, witness)  # without sampling error the witness stays <= exact
+def test_round_trip_property(inputs, witness, entropy_x, entropy_k, exact):
     rep = EntanglementReport(
         inputs=inputs,
         witness_gebits=witness,
         entropy_x_bits=entropy_x,
         entropy_k_bits=entropy_k,
         exact_e3f_gebits=exact,
-        bootstrap_se=bootstrap_se,
     )
     back = EntanglementReport.from_json(rep.to_json())
     assert back == rep
@@ -90,11 +87,20 @@ def test_certified_value_is_derived():
         _report(certified_gebits=0.9)
 
 
-def test_witness_above_exact_needs_sampling_error():
-    with pytest.raises(ValueError):
-        _report(witness_gebits=3.0, bootstrap_se=None)
-    rep = _report(witness_gebits=3.0)  # noise can push past the exact value
-    assert rep.witness_gebits == 3.0
+def test_analytic_witness_above_exact_raises(monkeypatch):
+    # at ratio 10 the analytic witness is 0.79 gebits, so exact 0 is too low
+    s = TripleGaussianState(10.0, 1.0, 1.0)
+    assert analytic_report(s).witness_gebits > 0.7
+    monkeypatch.setattr("triphoton.witness.exact_e3f", lambda state: 0.0)
+    with pytest.raises(ValueError, match="exceeds exact"):
+        analytic_report(s)
+
+
+def test_sampled_witness_above_exact_round_trips():
+    # only the analytic witness is a theorem; a sampled one is a report
+    rep = _report(witness_gebits=3.0)
+    assert rep.witness_gebits > rep.exact_e3f_gebits
+    assert EntanglementReport.from_json(rep.to_json()) == rep
 
 
 def test_json_dumps_rejects_nonfinite_and_unknown_types():
