@@ -93,7 +93,7 @@ def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 def _cmd_e3f(args, parser) -> int:
     s = _state_from_args(args, parser)
     if args.json:
-        print(analytic_report(s).to_json())
+        print(analytic_report(s).to_json(), end="")
     else:
         print(format(exact_e3f(s), ".12g"))
     return 0
@@ -159,7 +159,7 @@ def _cmd_simulate(args, parser) -> int:
             (prefix.parent / f"{prefix.name}_{tag}.csv", data)
             for data, tag in zip(export_pair(tree_x, tree_k), ("position", "momentum"))
         ]
-        outputs.append((report_path, (report.to_json() + "\n").encode()))
+        outputs.append((report_path, report.to_json().encode()))
         written = []
         try:
             for path, data in outputs:
@@ -175,7 +175,7 @@ def _cmd_simulate(args, parser) -> int:
             f"(certified {report.certified_gebits:.6f})"
         )
     else:
-        print(report.to_json())
+        print(report.to_json(), end="")
     return 0
 
 

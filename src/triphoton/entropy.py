@@ -14,6 +14,8 @@ Conventions used throughout:
   formulas subtract the histogram entropy plus that finite-sample term,
   which keeps the resulting bounds conservative in expectation at any N;
   no confidence term covers one draw's spread about that expectation.
+* m is set where the bins are chosen, as Histogram1D.support_bins, so it
+  does not depend on whether the counts list empty bins.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _SUM_TOL = 1e-12
+
+
+def _check_width(bin_width: float) -> None:
+    if not np.isfinite(bin_width) or bin_width <= 0.0:
+        raise ValueError(f"bin width must be positive, got {bin_width!r}")
 
 
 def _xlog2x(p: np.ndarray) -> np.ndarray:
@@ -99,36 +106,48 @@ class Histogram1D:
     """Count histogram with uniform bin width.
 
     bin_width: > 0, same units as the binned variable.
-    counts: non-negative integers per bin.
-    origin: coordinate of the left edge of bin 0.
+    counts: non-negative integers per bin; empty bins may be left out.
+    support_bins: m of the plug-in bias term, the bins the values could fall
+    in; keyword-only, an integer >= counts.size, counts.size by default.
     """
 
     bin_width: float
     counts: np.ndarray
-    origin: float = 0.0
+    support_bins: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        if not np.isfinite(self.bin_width) or self.bin_width <= 0.0:
-            raise ValueError(f"bin width must be positive, got {self.bin_width!r}")
+        _check_width(self.bin_width)
         c = np.asarray(self.counts)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("counts must be a non-empty 1-D array")
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
+        m = c.size if self.support_bins is None else self.support_bins
+        if not isinstance(m, (int, np.integer)) or m < c.size:
+            raise ValueError(f"support_bins must be an integer >= {c.size}, got {m!r}")
         object.__setattr__(self, "counts", c.astype(np.int64))
+        object.__setattr__(self, "support_bins", int(m))
 
     @classmethod
-    def of(cls, values: np.ndarray, bin_width: float, weights=None) -> "Histogram1D":
+    def of(cls, values: np.ndarray, bin_width: float, weights=None, support_bins=None) -> "Histogram1D":
         """Histogram of values at bin_width, with bin 0 centred on the smallest.
 
-        weights, when given, are integer counts per value.
+        weights, when given, are integer counts per value.  m is support_bins, by
+        default the span from the smallest value's bin to the largest's.  O(N) at any width.
         """
+        _check_width(bin_width)
         origin = float(values.min()) - 0.5 * bin_width
-        scaled = values - origin
+        scaled = np.subtract(values, origin, dtype=np.float64)
         scaled /= bin_width
-        # values - origin >= 0, so the truncating cast is the floor
-        idx = scaled.astype(np.int64)
-        return cls(bin_width=bin_width, counts=np.bincount(idx, weights=weights), origin=origin)
+        # values - origin >= 0, so the truncating cast is the floor; in place, to save an array
+        idx = scaled.view(np.int64)
+        np.copyto(idx, scaled, casting="unsafe")
+        span = int(idx.max()) + 1
+        if span > 4 * idx.size:
+            # occupied bins only: dense ones can't be allocated at fine widths (1000 rows, 1e-8: 16 GB)
+            idx = np.unique(idx, return_inverse=True)[1]
+        counts = np.bincount(idx, weights=weights)
+        return cls(bin_width, counts, support_bins=span if support_bins is None else support_bins)
 
     @property
     def total(self) -> int:

@@ -374,8 +374,8 @@ def tree_to_linear_histograms(
     coarsest first and skipped while they hold at most 1% of all counts, so
     a handful of stragglers in shallow tail cells cannot pin the width at
     the box scale.  At least 99% of the counts sit in cells no wider than
-    the chosen bin, which keeps the binned entropy biased high; scan_pair
-    adds the plug-in bias term for few counts per bin.
+    the chosen bin, which keeps the binned entropy biased high.  Its m, the
+    bins the box's projection spans, is 2**d + 1 at that leaf's depth d.
     """
     if tree.total_count <= 0:
         raise ValueError("tree holds no counts")
@@ -384,18 +384,11 @@ def tree_to_linear_histograms(
     counts = tree.counts[occupied]
     # leaves are stored depth by depth, so storage order is already coarsest first
     first = np.argmax(np.cumsum(counts) > _COARSE_MASS_EXCLUDED * tree.total_count)
-    width = float(np.abs(cvec).sum() * tree.cell_side(int(tree.depths[occupied[first]])))
+    depth = int(tree.depths[occupied[first]])
+    width = float(np.abs(cvec).sum() * tree.cell_side(depth))
     values = _projections(tree, occupied, cvec)
     del occupied
-    return Histogram1D.of(values, width, weights=counts)
-
-
-def _support_bins(tree: PartitionTree, hist: Histogram1D, cvec: tuple[float, float, float]) -> int:
-    """m = 2 B sum|c_i| / width + 1, the bins of hist's width that the box's projection spans.
-
-    The width is sum|c_i| times a cell side 2 B / 2**d, so m is 2**d + 1.
-    """
-    return round(2.0 * float(np.abs(cvec).sum()) * (tree.box_halfwidth / hist.bin_width)) + 1
+    return Histogram1D.of(values, width, weights=counts, support_bins=2**depth + 1)
 
 
 def scan_pair(
@@ -410,8 +403,8 @@ def scan_pair(
 
     Splits the seed into independent position and momentum streams, so
     reports are reproducible bit for bit.  The exact entanglement value is
-    attached when the state admits one.  Each entropy's plug-in bias term
-    counts the bins that the box's projection spans (_support_bins).
+    attached when the state admits one.  Each plug-in bias term counts the
+    bins the box's projection spans (tree_to_linear_histograms).
 
     Each basis runs end to end (draw, encode, sort, refine, collapse to its
     combination histogram) on its own thread: position on a worker thread,
@@ -460,7 +453,6 @@ def scan_pair(
             "box_halfwidth_x": tree_x.box_halfwidth,
             "box_halfwidth_k": tree_k.box_halfwidth,
         },
-        (_support_bins(tree_x, hist_x, coeffs.eta), _support_bins(tree_k, hist_k, coeffs.beta)),
         exact,
     )
     return tree_x, tree_k, report

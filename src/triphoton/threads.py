@@ -4,11 +4,11 @@ Two callers take a second thread from worker_thread: scan_pair and
 export_pair run one basis on each thread, and the coefficient search
 (witness._Workspace) splits a histogram of at least witness._THREADED_ROWS
 rows at numpy's pairwise-sum midpoint and runs the second range on the
-worker; a smaller histogram makes one pass on the calling thread.  Either
-way the two threads share no array that either writes, so every result is
-the one a single thread computes.  Each worker call runs in a copy of the
-caller's context, so numpy's errstate holds there too, and the worker is
-joined before the with block is left, also when a call raises.
+worker; a smaller one, and witness_from_samples, stay on the calling thread.
+Either way the two threads share no array that either writes, so every
+result is the one a single thread computes.  Each worker call runs in a copy
+of the caller's context, so numpy's errstate holds there too, and the worker
+is joined before the with block is left, also when a call raises.
 """
 
 from __future__ import annotations

@@ -223,6 +223,7 @@ def test_simulate_writes_report_and_trees(capsys, tmp_path):
     for p in (report_path, pos_path, mom_path):
         assert p.exists()
     rep = EntanglementReport.from_json(report_path.read_text())
+    assert report_path.read_text() == rep.to_json()  # ends in one newline, not two
     assert rep.inputs["sigma_u"] == 4.0
     assert rep.inputs["n_samples"] == 2000
     assert rep.inputs["threshold"] == 50
@@ -301,23 +302,23 @@ def test_simulate_failed_export_leaves_no_files_or_threads(capsys, tmp_path, mon
 # them and says why.
 _PINNED_OUTPUTS = {
     ("--sigma-u", "100", "--sigma-v", "1", "-n", "20000", "--depth", "12", "--threshold", "16", "--seed", "0"): {
-        ".json": "af865956bf512fe0a9c0bc5687121350a7cd62673dbcfc53d4ce85700cfbe0f9",
+        ".json": "c3921def2595ee6faf7892c9dfe5193579885c174f2b0efef69e118dc45c244e",
         "_position.csv": "a8cabe6dd833aaf9935decea475b55b4c9a9e5d2f67416c9402a1a4ec2565dfc",
         "_momentum.csv": "8f5e1a75c7a876bfb19fd7e18e46ff88cb94c9865fac6aabeafb84ae92d1baf3",
     },
     ("--sigma-u", "1", "--sigma-v", "1", "-n", "5000", "--depth", "20", "--threshold", "1"): {
-        ".json": "5dd489f6efb5ff64365d4368eb3601d996869f7006fa40cefb61670d67f1404f",
+        ".json": "c5b4a8f70fe8a4e9887506d7050fe219bb18cce57e950dfca2a14898083ba0eb",
         "_position.csv": "8cbc41bbc7bfd1f724ce51c31a028cb3deb4ba292fbe7969d0bf1d706ef4dfd4",
         "_momentum.csv": "9e242a1327bbefe0cb6943541aa8c9b9dd987ed26fd8a8f6a8719b982b4dc0b4",
     },
     # int32 cell codes: the default depth 8, and depth 10, the deepest int32 tree
     ("--sigma-u", "100", "--sigma-v", "1", "-n", "20000"): {
-        ".json": "eba66a349acdad2627a7172bc11a1561c326d86685e0de106874d8ef9e25e259",
+        ".json": "999c8869b6aa9d197675987e03b3518c26707a647978a2cfc250479ca77c9fa2",
         "_position.csv": "3d84b212568125f115d27d2cad3ff7ca115bd62c93fcc33f58d99324d24bf4d1",
         "_momentum.csv": "8f5e1a75c7a876bfb19fd7e18e46ff88cb94c9865fac6aabeafb84ae92d1baf3",
     },
     ("--sigma-u", "100", "--sigma-v", "1", "-n", "20000", "--depth", "10", "--threshold", "2"): {
-        ".json": "7c88019b0a61400c197bcfefeffbf0d4f6c8b170ebcdcd13517752cf96693bd8",
+        ".json": "b8197b2d5bbb6ceebcd9cd99c033488315040929c73efaefafe579be95d00cfc",
         "_position.csv": "ae33d7f2f48d53ad317d29ac14eefdd6006938b2883e8a0a170742d8f95bb861",
         "_momentum.csv": "fc8909ba5499c4f2abc9bf61036d6e356c390b3b89f1e2e612b506d907c3dc28",
     },
@@ -340,7 +341,7 @@ def test_simulate_out_bytes_are_pinned(capsys, tmp_path, args):
 # path is given relative to the repository root, as rate echoes it.
 _PINNED_COMMANDS = {
     ("e3f", "--sigma-u", "10", "--sigma-v", "1", "--json"): (
-        "87b18ac77435128b3f4bc09f959baecf0ec1e7160339240e3cb7afd9709f8539"
+        "cfed0b1f9bd76407a56abe992653da3b1c06e175b36eff6cc7525bc171006a2c"
     ),
     ("rate", "--config", "configs/fused_silica_516nm.cfg", "--qpm-order", "1"): (
         "d0cdcce58934e36ae363b9969d97df8ba2404f4c304551db37e87b74a88d56d9"
@@ -381,6 +382,8 @@ def test_simulate_stdout_report(capsys):
     )
     assert code == 0
     rep = EntanglementReport.from_json(out)
+    # the report's own newline ends stdout; no blank line follows
+    assert out == rep.to_json() and out.endswith("}\n")
     want = exact_e3f(TripleGaussianState(2.0, 1.0, 1.0))
     assert rep.exact_e3f_gebits == pytest.approx(want, rel=1e-12)
 

@@ -145,7 +145,7 @@ def test_histogram_entropy_near_analytic_for_fine_bins():
     w = 2.5 / 20
     origin = x.min() - 0.5 * w
     counts = np.bincount(np.floor((x - origin) / w).astype(int))
-    est = differential_entropy_from_histogram(Histogram1D(w, counts, origin))
+    est = differential_entropy_from_histogram(Histogram1D(w, counts))
     assert abs(est - gaussian_differential_entropy(2.5)) < 0.02
 
 
@@ -215,8 +215,35 @@ def test_weighted_histogram_equals_repeated_values():
     weighted = Histogram1D.of(values, 0.3, weights=weights)
     repeated = Histogram1D.of(np.repeat(values, weights), 0.3)
     assert weighted.bin_width == repeated.bin_width == 0.3
-    assert weighted.origin == repeated.origin == values.min() - 0.15
+    # the span from the smallest value's bin to the largest's
+    span = int((values.max() - values.min()) / 0.3 + 0.5) + 1
+    assert weighted.support_bins == repeated.support_bins == weighted.counts.size == span
     np.testing.assert_array_equal(weighted.counts, repeated.counts)
+
+
+def test_histogram_of_fine_bins_counts_occupied_bins_over_the_span():
+    # 0, 0 and 1000 at width 1: bins 0 and 1000 of a 1001-bin span
+    hist = Histogram1D.of(np.array([0.0, 1000.0, 0.0]), 1.0)
+    np.testing.assert_array_equal(hist.counts, [2, 1])
+    assert hist.support_bins == 1001
+    dense = np.zeros(1001, dtype=np.int64)
+    dense[0], dense[1000] = 2, 1
+    assert differential_entropy_from_histogram(hist) == pytest.approx(
+        differential_entropy_from_histogram(Histogram1D(1.0, dense)), abs=1e-12
+    )
+    # a caller that chose the grid sets m; up to 4 bins per value stay dense
+    values = np.arange(4.0)
+    narrow = Histogram1D.of(values, 1.0, support_bins=9)
+    np.testing.assert_array_equal(narrow.counts, [1, 1, 1, 1])
+    assert narrow.support_bins == 9
+    np.testing.assert_array_equal(Histogram1D.of(values, 0.25).counts[::4], [1, 1, 1, 1])
+    assert Histogram1D.of(values, 0.25).counts.size == 13
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_histogram_of_checks_its_width_before_binning(width):
+    with pytest.raises(ValueError, match="bin width must be positive"):
+        Histogram1D.of(np.array([0.0, 1.0]), width)
 
 
 def test_histogram_validation():
@@ -228,3 +255,13 @@ def test_histogram_validation():
         Histogram1D(1.0, np.array([], dtype=int))
     with pytest.raises(ValueError):
         differential_entropy_from_histogram(Histogram1D(1.0, np.array([0, 0])))
+    # m counts every bin the values could fall in, so never fewer than counts
+    with pytest.raises(ValueError, match="support_bins must be an integer >= 2"):
+        Histogram1D(1.0, np.array([1, 2]), support_bins=1)
+    with pytest.raises(ValueError, match="support_bins"):
+        Histogram1D(1.0, np.array([1, 2]), support_bins=2.5)
+    # keyword-only: a third positional argument is not read as m
+    with pytest.raises(TypeError):
+        Histogram1D(1.0, np.array([1, 2]), 5)
+    assert Histogram1D(1.0, np.array([1, 2])).support_bins == 2
+    assert Histogram1D(1.0, np.array([1, 2]), support_bins=np.int64(7)).support_bins == 7

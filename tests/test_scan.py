@@ -25,7 +25,6 @@ from triphoton.scan import (
     _build_tree,
     _cell_codes,
     _projections,
-    _support_bins,
     default_threshold,
     export_pair,
     scan_pair,
@@ -297,11 +296,7 @@ def _sequential_pair(s, n, threshold, max_depth, seed):
         "box_halfwidth_x": tree_x.box_halfwidth,
         "box_halfwidth_k": tree_k.box_halfwidth,
     }
-    support = (
-        _support_bins(tree_x, hist_x, SPDC_COEFFICIENTS.eta),
-        _support_bins(tree_k, hist_k, SPDC_COEFFICIENTS.beta),
-    )
-    report = histogram_report(hist_x, hist_k, SPDC_COEFFICIENTS, inputs, support, exact_e3f(s))
+    report = histogram_report(hist_x, hist_k, SPDC_COEFFICIENTS, inputs, exact_e3f(s))
     return tree_x, tree_k, report
 
 
@@ -418,8 +413,13 @@ def test_collapse_equals_all_leaf_decode():
         width = float(np.abs(cvec).sum() * sides[occ][coarse_first][kept][0])
         want = Histogram1D.of(centers[occ] @ np.asarray(cvec), width, weights=counts[occ])
         got = tree_to_linear_histograms(tree, SPDC_COEFFICIENTS)
-        assert (got.bin_width, got.origin) == (want.bin_width, want.origin)
+        assert got.bin_width == want.bin_width
         assert np.array_equal(got.counts, want.counts)
+        # m is the bins of that width across the box's projection, 2**d + 1
+        # at the depth d of the coarsest leaf that sets the width
+        depth = int(tree.depths[occ][coarse_first][kept][0])
+        assert got.support_bins == 2**depth + 1
+        assert got.support_bins > want.support_bins == got.counts.size
 
 
 def _stack_decode(tree, sel):

@@ -176,7 +176,7 @@ def _reference_entropy(samples, coeffs):
     width = sd / 8
     origin = float(values.min()) - 0.5 * width
     idx = np.floor((values - origin) / width).astype(np.int64)
-    return differential_entropy_from_histogram(Histogram1D(width, np.bincount(idx), origin))
+    return differential_entropy_from_histogram(Histogram1D(width, np.bincount(idx)))
 
 
 def test_workspace_entropy_equals_reference_path():
@@ -205,26 +205,30 @@ _ROWS = witness._THREADED_ROWS
     scale=st.floats(1e-3, 1e3),
     coeffs=st.tuples(*[st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)] * 3),
     flat=st.booleans(),
-    given_width=st.booleans(),
 )
-@example(n=100, seed=0, scale=1.0, coeffs=(1.0, -0.5, -0.5), flat=False, given_width=False)
-@example(n=132, seed=0, scale=1.0, coeffs=(1.0, -0.5, -0.5), flat=False, given_width=False)
-@example(n=_ROWS + 1, seed=1, scale=1.0, coeffs=(1.0, 1.0, 1.0), flat=False, given_width=False)
-def test_two_range_histogram_equals_one_pass(n, seed, scale, coeffs, flat, given_width):
+@example(n=100, seed=0, scale=1.0, coeffs=(1.0, -0.5, -0.5), flat=False)
+@example(n=132, seed=0, scale=1.0, coeffs=(1.0, -0.5, -0.5), flat=False)
+@example(n=_ROWS + 1, seed=1, scale=1.0, coeffs=(1.0, 1.0, 1.0), flat=False)
+def test_two_range_histogram_equals_one_pass(n, seed, scale, coeffs, flat):
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((1 if flat else n, 3)) * scale
     samples = SampleSet(values=np.repeat(rows, n, axis=0) if flat else rows, kind="position")
     v = samples.values @ np.asarray(coeffs)
-    width = scale / 16 if given_width else v.std() / 8
+    width = v.std() / 8
     # the lowest threshold _split allows, so that n from 129 on is split
     with mock.patch.object(witness, "_THREADED_ROWS", 129), witness._Workspace(samples) as work:
-        hist = work.histogram(samples, coeffs, width if given_width else None)
+        hist = work.histogram(samples, coeffs)
     if width == 0.0:
         assert hist is None
         return
     want = Histogram1D.of(v, width)
-    assert (hist.bin_width, hist.origin) == (want.bin_width, want.origin)
-    assert np.array_equal(hist.counts, want.counts)
+    assert (hist.bin_width, hist.support_bins) == (want.bin_width, want.support_bins)
+    # the workspace's counts are dense; Histogram1D.of leaves empty bins out
+    # when the span passes 4 bins per value, which sd/8 bins do only below 9 rows
+    assert hist.counts.size == hist.support_bins
+    assert np.array_equal(hist.counts[hist.counts > 0], want.counts[want.counts > 0])
+    if n >= 9:
+        assert np.array_equal(hist.counts, want.counts)
 
 
 def test_optimizer_returns_pinned_coefficients():
@@ -275,7 +279,38 @@ def test_coefficient_search_allocates_no_sample_sized_arrays():
     # past the workspace's own three arrays, an evaluation allocates only bins
     work = witness._Workspace(xs, ks)
     assert _traced_memory(lambda: work.entropy(xs, (1.0, -0.7, -0.2)))[1] < column / 8
-    assert _traced_memory(lambda: work.histogram(ks, (1.0, 1.0, 1.0), 0.01))[1] < column / 8
+    assert _traced_memory(lambda: work.histogram(ks, (1.0, 1.0, 1.0)))[1] < column / 8
+
+
+def test_sampled_witness_memory_is_linear_in_samples_at_fine_bins():
+    # 1000 rows at a width of 1e-6 span millions of bins; dense counts of that
+    # span peaked at 245 MB, the occupied bins alone take a few kB
+    s = TripleGaussianState(1.0, 1.0, 1.0)
+    xs, ks = sample_positions(s, 1000, 0), sample_momenta(s, 1000, 1)
+    reports = []
+    _, peak = _traced_memory(
+        lambda: reports.append(witness_from_samples(xs, ks, SPDC_COEFFICIENTS, 1e-6, 1e-6))
+    )
+    assert peak < 2_000_000
+    # m is still the span of each combination, not its 1000 occupied bins
+    assert (reports[0].inputs["support_bins_x"], reports[0].inputs["support_bins_k"]) == (
+        8_416_443,
+        5_758_072,
+    )
+
+
+def test_sampled_support_is_the_span_not_the_occupied_bins():
+    # two clusters 100 bins apart: 4 occupied bins of a 102-bin span
+    base = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [25.0, 0.0, 0.0], [25.25, 0.0, 0.0]])
+    xs = SampleSet(values=np.repeat(base, 25, axis=0), kind="position")
+    ks = SampleSet(values=np.repeat(base, 25, axis=0), kind="momentum")
+    rep = witness_from_samples(xs, ks, SPDC_COEFFICIENTS, 0.25, 0.25)
+    assert rep.inputs["support_bins_x"] == rep.inputs["support_bins_k"] == 102
+    # 2 bits over 4 equal bins, plus log2(width), plus the term for m = 102
+    # (m = 4, the occupied bins, would give log2(1 + 3/100) instead)
+    want = 2.0 + math.log2(0.25) + math.log2(1.0 + 101 / 100)
+    assert rep.entropy_x_bits == pytest.approx(want, abs=1e-12)
+    assert rep.entropy_k_bits == pytest.approx(want, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -297,8 +332,8 @@ _SEARCH_ENTRY_POINTS = {
         (entry, phase)
         for entry in _SEARCH_ENTRY_POINTS
         for phase in (None, "_project", "_square_deviations", "_bin_counts")
-        # given bin widths, witness_from_samples takes no sd
-        if (entry, phase) != ("from_samples", "_square_deviations")
+        # witness_from_samples bins on the calling thread, with no workspace
+        if entry != "from_samples" or phase is None
     ],
 )
 def test_search_worker_ends_with_the_call(monkeypatch, threaded_samples, entry, phase):
