@@ -106,7 +106,7 @@ class Histogram1D:
     """Count histogram with uniform bin width.
 
     bin_width: > 0, same units as the binned variable.
-    counts: non-negative integers per bin; empty bins may be left out.
+    counts: non-negative integers per bin, not all zero; empty bins may be left out.
     support_bins: m of the plug-in bias term, the bins the values could fall
     in; keyword-only, an integer >= counts.size, counts.size by default.
     """
@@ -127,6 +127,8 @@ class Histogram1D:
             raise ValueError(f"support_bins must be an integer >= {c.size}, got {m!r}")
         object.__setattr__(self, "counts", c.astype(np.int64))
         object.__setattr__(self, "support_bins", int(m))
+        if self.total == 0:
+            raise ValueError("histogram has no counts")
 
     @classmethod
     def of(cls, values: np.ndarray, bin_width: float, weights=None, support_bins=None) -> "Histogram1D":
@@ -223,13 +225,10 @@ def gaussian_differential_entropy(sigma: float) -> float:
 def differential_entropy_from_histogram(hist: Histogram1D) -> float:
     """Plug-in H(normalized counts) + log2(bin width), in bits.
 
-    Biased low by at most plugin_bias_bits(m, N) in expectation, which a
-    conservative witness adds (see the module docstring).
+    N > 0 for every Histogram1D.  Biased low by at most plugin_bias_bits(m, N)
+    in expectation, which a conservative witness adds (see the module docstring).
     """
-    total = hist.total
-    if total == 0:
-        raise ValueError("histogram has no counts")
-    p = hist.counts / total
+    p = hist.counts / hist.total
     return float(-_xlog2x(p).sum() + np.log2(hist.bin_width))
 
 

@@ -100,7 +100,7 @@ class PairStatistics:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Monte Carlo triplet coordinates, one (x1, x2, x3) row per event."""
+    """Monte Carlo triplet coordinates, one finite (x1, x2, x3) row per event, at least one row."""
 
     values: np.ndarray
     kind: str  # "position" or "momentum"
@@ -109,6 +109,10 @@ class SampleSet:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError(f"samples must be (n, 3), got {v.shape}")
+        if v.shape[0] == 0:
+            raise ValueError("sample sets must be non-empty")
+        if not np.isfinite(v).all():
+            raise ValueError("sample values must be finite")
         if self.kind not in ("position", "momentum"):
             raise ValueError(f"kind must be 'position' or 'momentum', got {self.kind!r}")
         object.__setattr__(self, "values", v)

@@ -170,10 +170,10 @@ def _added(counts: list[np.ndarray]) -> np.ndarray:
 
 
 class _Workspace:
-    """Projection, scratch and bin-index arrays for the larger of some sample sets.
+    """Projection and scratch arrays for the larger of some sample sets.
 
     Every combination histogram taken through one workspace reuses these
-    three arrays, so none allocates an array the size of its sample set.
+    two arrays, so none allocates an array the size of its sample set.
 
     Each histogram runs in three phases: project and take a sum and a min,
     square the deviations and sum them, then bin and count.  A histogram of
@@ -190,7 +190,6 @@ class _Workspace:
         n = max(len(s) for s in sample_sets)
         self._projection = np.empty(n)
         self._scratch = np.empty(n)
-        self._idx = np.empty(n, dtype=np.int64)
 
     def __enter__(self) -> "_Workspace":
         # the worker thread starts only when a histogram is first split
@@ -221,8 +220,8 @@ class _Workspace:
     def _bin_counts(self, rows: slice, origin: float, bin_width: float) -> np.ndarray:
         scaled = np.subtract(self._projection[rows], origin, out=self._scratch[rows])
         scaled /= bin_width
-        # values - origin >= 0, so the truncating cast is the floor
-        idx = self._idx[rows]
+        # values - origin >= 0, so the truncating cast is the floor; in place, as in Histogram1D.of
+        idx = scaled.view(np.int64)
         np.copyto(idx, scaled, casting="unsafe")
         return np.bincount(idx)
 
@@ -255,13 +254,11 @@ class _Workspace:
 
 
 def _check_sample_sets(samples_x: SampleSet, samples_k: SampleSet) -> None:
-    """Raise ValueError unless samples_x holds positions, samples_k momenta, and both have rows."""
+    """Raise ValueError unless samples_x holds positions and samples_k momenta."""
     if samples_x.kind != "position":
         raise ValueError(f"samples_x must be position samples, got {samples_x.kind!r}")
     if samples_k.kind != "momentum":
         raise ValueError(f"samples_k must be momentum samples, got {samples_k.kind!r}")
-    if len(samples_x) == 0 or len(samples_k) == 0:
-        raise ValueError("sample sets must be non-empty")
 
 
 def witness_from_samples(
@@ -573,6 +570,7 @@ def verify_correlation_relation(dim: int, trials: int, seed: int) -> Correlation
 
 
 def _load_samples(path: str | Path, header: tuple[str, str, str], kind: str) -> SampleSet:
+    """SampleSet of a CSV's rows under header; each ValueError names the file."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -598,12 +596,10 @@ def _load_samples(path: str | Path, header: tuple[str, str, str], kind: str) -> 
                 raise ValueError(
                     f"{path}:{reader.line_num}: non-numeric sample value ({exc})"
                 ) from exc
-    if not rows:
-        raise ValueError(f"{path}: no sample rows")
-    values = np.array(rows)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: non-finite sample values")
-    return SampleSet(values=values, kind=kind)
+    try:
+        return SampleSet(values=np.array(rows).reshape(-1, 3), kind=kind)
+    except ValueError as exc:  # no rows, or a non-finite value
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_position_samples(path: str | Path) -> SampleSet:

@@ -253,8 +253,11 @@ def test_histogram_validation():
         Histogram1D(1.0, np.array([-1]))
     with pytest.raises(ValueError):
         Histogram1D(1.0, np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        differential_entropy_from_histogram(Histogram1D(1.0, np.array([0, 0])))
+    # counts that sum to zero are refused at construction, before any entropy
+    with pytest.raises(ValueError, match="histogram has no counts"):
+        Histogram1D(1.0, np.array([0, 0]))
+    with pytest.raises(ValueError, match="histogram has no counts"):
+        Histogram1D(1.0, np.array([0.0, 0.0]), support_bins=9)
     # m counts every bin the values could fall in, so never fewer than counts
     with pytest.raises(ValueError, match="support_bins must be an integer >= 2"):
         Histogram1D(1.0, np.array([1, 2]), support_bins=1)

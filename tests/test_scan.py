@@ -744,3 +744,23 @@ def test_record_and_parameter_validation():
         simulate_adaptive_scan(s, "position", 1000, max_depth=0)
     with pytest.raises(ValueError):
         simulate_adaptive_scan(s, "position", 1000, max_depth=MAX_TREE_DEPTH + 1)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ({"n_samples": 0}, "n_samples must be >= 1, got 0"),
+        ({"threshold": 0}, "threshold must be >= 1, got 0"),
+        ({"max_depth": 0}, rf"max_depth must be in \[1, {MAX_TREE_DEPTH}\], got 0"),
+        (
+            {"max_depth": MAX_TREE_DEPTH + 1},
+            rf"max_depth must be in \[1, {MAX_TREE_DEPTH}\], got {MAX_TREE_DEPTH + 1}",
+        ),
+    ],
+)
+def test_scan_pair_checks_its_sizes_before_any_thread(sizes, message):
+    # the CLI's argparse types stop these before scan_pair; its own checks
+    # must hold for API callers, and refuse before the worker starts
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        scan_pair(TripleGaussianState(2.0, 1.0, 1.0), **{"n_samples": 1000, **sizes})
+    assert not [t for t in threading.enumerate() if t.name.startswith("triphoton-scan-worker")]

@@ -215,3 +215,16 @@ def test_sample_validation():
         SampleSet(values=np.zeros((4, 2)), kind="position")
     with pytest.raises(ValueError):
         SampleSet(values=np.zeros((4, 3)), kind="frequency")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_set_rejects_non_finite_values(bad):
+    values = np.zeros((4, 3))
+    values[2, 1] = bad
+    with pytest.raises(ValueError, match="sample values must be finite"):
+        SampleSet(values=values, kind="position")
+
+
+def test_sample_set_rejects_zero_rows():
+    with pytest.raises(ValueError, match="sample sets must be non-empty"):
+        SampleSet(values=np.zeros((0, 3)), kind="momentum")

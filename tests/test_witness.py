@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import threading
 import tracemalloc
 from unittest import mock
@@ -156,9 +157,9 @@ def test_witness_from_samples_validation():
         witness_from_samples(xs, xs, SPDC_COEFFICIENTS, 0.1, 0.1)
     with pytest.raises(ValueError):
         witness_from_samples(xs, ks, SPDC_COEFFICIENTS, 0.0, 0.1)
-    empty = SampleSet(values=np.zeros((0, 3)), kind="position")
-    with pytest.raises(ValueError):
-        witness_from_samples(empty, ks, SPDC_COEFFICIENTS, 0.1, 0.1)
+    # an empty set cannot reach the entry point: SampleSet refuses it
+    with pytest.raises(ValueError, match="sample sets must be non-empty"):
+        SampleSet(values=np.zeros((0, 3)), kind="position")
 
 
 def test_objective_degenerate_is_minus_infinity():
@@ -273,10 +274,10 @@ def test_coefficient_search_allocates_no_sample_sized_arrays():
     s = TripleGaussianState(10.0, 1.0, 1.0)
     xs, ks = sample_positions(s, n, 7), sample_momenta(s, n, 8)
     current, peak = _traced_memory(lambda: optimize_coefficients(xs, ks))
-    assert peak < 4 * column
+    assert peak < 3 * column
     # the workspace is freed on return, not left in a cycle for the collector
     assert current < column / 8
-    # past the workspace's own three arrays, an evaluation allocates only bins
+    # past the workspace's own two arrays, an evaluation allocates only bins
     work = witness._Workspace(xs, ks)
     assert _traced_memory(lambda: work.entropy(xs, (1.0, -0.7, -0.2)))[1] < column / 8
     assert _traced_memory(lambda: work.histogram(ks, (1.0, 1.0, 1.0)))[1] < column / 8
@@ -432,11 +433,10 @@ def test_entry_points_check_their_sample_sets(entry):
         call(ks, xs)
     with pytest.raises(ValueError, match="samples_k must be momentum samples"):
         call(xs, xs)
-    no_x = SampleSet(values=np.zeros((0, 3)), kind="position")
-    no_k = SampleSet(values=np.zeros((0, 3)), kind="momentum")
-    for empty in ((no_x, ks), (xs, no_k)):
+    # no empty set reaches an entry point: SampleSet refuses it
+    for kind in ("position", "momentum"):
         with pytest.raises(ValueError, match="sample sets must be non-empty"):
-            call(*empty)
+            SampleSet(values=np.zeros((0, 3)), kind=kind)
 
 
 def test_optimizer_recovers_sign_pattern_from_unsigned_start():
@@ -669,6 +669,14 @@ def test_sample_csv_repr_round_trip(tmp_path_factory, rows):
 
 def test_sample_csv_error_cases(tmp_path):
     p = tmp_path / "bad.csv"
+    # SampleSet's own errors, prefixed with the file that held the rows
+    for text, why in (
+        ("x1,x2,x3\n", "sample sets must be non-empty"),
+        ("x1,x2,x3\n1,2,inf\n", "sample values must be finite"),
+    ):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {why}$"):
+            load_position_samples(p)
     for text in (
         "",
         "a,b,c\n1,2,3\n",
