@@ -120,8 +120,8 @@ class Histogram1D:
         c = np.asarray(self.counts)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("counts must be a non-empty 1-D array")
-        if np.any(c < 0):
-            raise ValueError("counts must be non-negative")
+        if not np.all(np.isfinite(c) & (c >= 0) & (np.floor(c) == c)):
+            raise ValueError("counts must be non-negative integers")
         m = c.size if self.support_bins is None else self.support_bins
         if not isinstance(m, (int, np.integer)) or m < c.size:
             raise ValueError(f"support_bins must be an integer >= {c.size}, got {m!r}")

@@ -143,11 +143,13 @@ class PartitionTree:
         Leaves are disjoint, so their codes aligned to max_depth are unique
         and sort in the same order as their paths.  A path is the cell's
         octant digits from the root (empty for the root), so each line is
-        depth + 1 + (count digits) + 1 bytes long, newline included.  Lines
-        are written _LEAF_BLOCK at a time and joined at the end.
+        depth + 1 + (count digits) + 1 bytes long, newline included.  Per _LEAF_BLOCK
+        leaves, each leaf gets every digit j below the block's depth, deepest first, in
+        a padded buffer.  A digit past a leaf's depth lands on its comma, count or newline
+        (written after all digits), a later line's digit j' < j (written later) or the pad.
         """
         aligned = self.codes << 3 * (self.max_depth - self.depths)
-        order = np.argsort(aligned)  # tree indices in path order
+        order = np.argsort(aligned, kind="stable")  # path order; merges the per-depth runs
         aligned = aligned[order]
         depths, counts = self.depths[order], self.counts[order]
         del order
@@ -162,16 +164,20 @@ class PartitionTree:
             ends = np.cumsum(d + n_digits + 2)
             commas = ends - n_digits - 2
             starts = commas - d
-            buf = np.empty(int(ends[-1]), dtype=np.uint8)
+            deepest = int(d.max())
+            buf = np.empty(int(ends[-1]) + deepest, dtype=np.uint8)
+            a, digit = a >> 3 * (self.max_depth - deepest), np.empty(a.size, dtype=np.uint8)
+            for j in range(deepest - 1, -1, -1):  # the j-th octant digit from the root
+                buf[j:][starts] = np.bitwise_and(a, 7, out=digit, casting="unsafe") | ord("0")
+                a >>= 3
             buf[commas] = ord(",")
             buf[ends - 1] = ord("\n")
-            for j in range(int(d.max())):  # the j-th octant digit from the root
-                has = d > j
-                buf[starts[has] + j] = ord("0") + ((a[has] >> 3 * (self.max_depth - 1 - j)) & 7)
-            for k in range(int(n_digits.max())):  # the k-th count digit from the right
-                has = n_digits > k
-                buf[ends[has] - 2 - k] = ord("0") + c[has] // 10**k % 10
-            parts.append(buf.tobytes())
+            at = ends - 2  # each count's digits, last first, while any are left
+            while at.size:
+                c, k = np.divmod(c, 10)
+                buf[at] = k.astype(np.uint8) | ord("0")
+                at, c = at[(left := c > 0)] - 1, c[left]
+            parts.append(buf[: ends[-1]].tobytes())
         del aligned, depths, counts, a, d, c  # before the join copies the parts
         return b"".join(parts)
 
@@ -198,27 +204,31 @@ def _cell_codes(
     face lands in the last cell.  Rows outside the box are left out, and the
     caller counts them as dropped.  The codes fill the front of `out` (a
     fresh _code_dtype array by default), and that slice is returned;
-    `values` is left as it was.
+    `values` is left as it was.  Cell indices are np.intp, which take() uses
+    unconverted, and are clamped only if the largest value's q = (v + B) / cell
+    reaches n_grid: on a +B face, or where v + B rounds up to 2B.
     """
     n_grid = 2**max_depth
-    if values.min() >= -box_halfwidth and values.max() <= box_halfwidth:
+    cell = 2.0 * box_halfwidth / n_grid
+    if (top := values.max()) <= box_halfwidth and values.min() >= -box_halfwidth:
         q = values + box_halfwidth
     else:
         q = values[(np.abs(values) <= box_halfwidth).all(axis=1)] + box_halfwidth
-    q /= 2.0 * box_halfwidth / n_grid
-    # q >= 0 since values >= -B, so the cast truncates to the floor, and
-    # only the +B faces need clamping
-    g = q.T.astype(np.int32, order="C")  # one contiguous row per axis
-    np.minimum(g, n_grid - 1, out=g)
+    q /= cell
+    # q >= 0 since values >= -B, so the cast truncates to the floor
+    g = q.T.astype(np.intp, order="C")  # one contiguous row per axis
+    if (top + box_halfwidth) / cell >= n_grid:
+        np.minimum(g, n_grid - 1, out=g)
     if out is None:
         out = np.empty(g.shape[1], dtype=_code_dtype(max_depth))
     codes = out[: g.shape[1]]
     tables = _CODE_TABLES[codes.dtype]
     if max_depth <= 12:  # one 12-bit window holds every level
-        # mode="clip" writes into codes without a buffer; g is in range
+        # mode="clip" takes into out= without a buffer; g is in range
         np.take(tables[0], g[0], out=codes, mode="clip")
-        codes |= tables[1].take(g[1])
-        codes |= tables[2].take(g[2])
+        part = np.empty_like(codes)
+        for table, g_axis in zip(tables[1:], g[1:]):
+            codes |= np.take(table, g_axis, out=part, mode="clip")
         return codes
     codes[:] = 0
     for low in range(0, max_depth, 12):

@@ -268,3 +268,16 @@ def test_histogram_validation():
         Histogram1D(1.0, np.array([1, 2]), 5)
     assert Histogram1D(1.0, np.array([1, 2])).support_bins == 2
     assert Histogram1D(1.0, np.array([1, 2]), support_bins=np.int64(7)).support_bins == 7
+
+
+@pytest.mark.parametrize("counts", [[0.5, 1.7, 2.0], [np.nan, 1.0], [np.inf, 1.0]])
+def test_histogram_refuses_counts_that_are_not_integers(counts):
+    # once truncated silently ([0.5, 1.7, 2.0] stored as [0, 1, 2]), or cast from NaN
+    with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
+        Histogram1D(1.0, np.array(counts))
+
+
+def test_histogram_keeps_integer_valued_float_counts():
+    # bincount with weights, as the scan collapse calls it, returns floats
+    h = Histogram1D(1.0, np.array([1.0, 2.0]))
+    assert h.counts.dtype == np.int64 and h.counts.tolist() == [1, 2]

@@ -503,6 +503,24 @@ def test_cell_codes_box_faces():
     assert _cell_codes(planted[2:4], box, depth).size == 0
 
 
+@pytest.mark.parametrize("max_depth", [8, 10, 11, MAX_TREE_DEPTH])
+def test_rows_that_round_up_to_the_far_face_land_in_the_last_cell(max_depth):
+    # just below +B, v + B rounds to 2B, so q == n_grid though |v| <= B: the
+    # clamp is needed although no coordinate reaches B
+    box, last = 1.0, 2**max_depth - 1
+    below = np.nextafter(box, 0.0)
+    assert below < box and below + box == 2.0 * box
+    values = np.random.default_rng(5).uniform(-box, box, (300, 3))
+    values[7] = (below, 0.0, -box)
+    values[11] = below
+    assert values.max() < box
+    codes = _cell_codes(values, box, max_depth)
+    assert np.array_equal(codes, _one_shot_codes(values, box, max_depth))
+    half = 2 ** (max_depth - 1)
+    assert codes[7] == _interleave(np.array([[last, half, 0]]))[0]
+    assert codes[11] == 8**max_depth - 1
+
+
 def _reference_tree(codes, max_depth, threshold):
     """(depth, code, count) of each leaf, in storage order, and the cell
     count of the tree built recursively over the sorted finest codes: a
@@ -723,6 +741,34 @@ def test_blockwise_record_bytes_across_block_boundaries(monkeypatch, offset):
     for block in (tree.n_leaves - offset, 7):
         monkeypatch.setattr(scan, "_LEAF_BLOCK", block)
         assert tree.record_bytes() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    max_depth=st.integers(1, MAX_TREE_DEPTH),
+    threshold=st.integers(1, 8),
+    centers=st.lists(st.integers(0, 8**MAX_TREE_DEPTH - 1), min_size=1, max_size=4),
+    spread=st.integers(0, MAX_TREE_DEPTH),
+    n=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one code at the origin: the last leaves are the empty depth-1 cells 1-7 of a
+# depth-20 tree, whose unmasked digits run into the next lines and past the end
+@example(max_depth=MAX_TREE_DEPTH, threshold=1, centers=[0], spread=0, n=1, seed=0)
+def test_unmasked_path_digits_are_overwritten_by_their_own_writers(
+    max_depth, threshold, centers, spread, n, seed
+):
+    # clustered codes, so shallow and deep leaves alternate in path order
+    rng = np.random.default_rng(seed)
+    shift = 3 * (MAX_TREE_DEPTH - max_depth)
+    at = np.array(centers, dtype=np.int64)[rng.integers(len(centers), size=n)] >> shift
+    codes = np.minimum(at + rng.integers(0, 8 ** min(spread, max_depth), size=n), 8**max_depth - 1)
+    tree = _build_tree(codes.astype(scan._code_dtype(max_depth)), n, "position", 1.0, max_depth, threshold)
+    want = _joined_records(tree)
+    with pytest.MonkeyPatch.context() as mp:
+        for block in (1, 7, tree.n_leaves):
+            mp.setattr(scan, "_LEAF_BLOCK", block)
+            assert tree.record_bytes() == want
 
 
 def test_record_bytes_on_more_leaves_than_a_block():
