@@ -17,13 +17,14 @@ basis per party, inverse overlap Omega_i):
 
 which evaluates to exactly 1 gebit for GHZ statistics in the Z/X bases.
 
-optimize_coefficients and sampled_witness_objective take their sd/8
-histograms through one _Workspace per call, which splits the larger ones
-between two threads as threads.py describes.
+optimize_coefficients and sampled_witness_objective share one objective, set
+up per call by _search_objective, whose with worker_thread block owns the worker
+on which one _Workspace splits the larger sd/8 histograms (threads.py).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
@@ -181,24 +182,15 @@ class _Workspace:
     calling thread and [h, n), h = _split(n), on the worker (threads.py),
     and the caller adds the two sums and the two count arrays, so every
     value equals that of one pass over all rows.  A smaller one makes that
-    one pass on the calling thread.  Used as a context manager, the
-    workspace holds the worker for the block; a histogram of _THREADED_ROWS
-    rows or more needs it.
+    one pass on the calling thread.  The worker is lent: both comes from the
+    caller's with worker_thread block (_search_objective).
     """
 
-    def __init__(self, *sample_sets: SampleSet):
+    def __init__(self, both, *sample_sets: SampleSet):
+        self._both = both
         n = max(len(s) for s in sample_sets)
         self._projection = np.empty(n)
         self._scratch = np.empty(n)
-
-    def __enter__(self) -> "_Workspace":
-        # the worker thread starts only when a histogram is first split
-        self._worker = worker_thread("triphoton-search-worker")
-        self._both = self._worker.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._worker.__exit__(*exc)
 
     def _per_range(self, phase, n: int, *args) -> list:
         """[phase(rows, *args)] for each row range of n rows, in order."""
@@ -299,10 +291,25 @@ _MAG_LO, _MAG_HI = 1.0 / 8.0, 8.0  # magnitude ratio search range per coordinate
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _objective(coeffs: WitnessCoefficients, h_x: float, h_k: float) -> float:
-    if h_x == -math.inf or h_k == -math.inf:
-        return -math.inf
-    return continuous_witness(coeffs, h_x, h_k)
+@contextlib.contextmanager
+def _search_objective(samples_x: SampleSet, samples_k: SampleSet):
+    """Yields objective(coeffs), the sd/8 witness of these samples, for the with block.
+
+    The block owns the call's worker thread, which starts when a histogram is
+    first split, and one workspace.  Each entropy term is computed once per
+    distinct eta or beta; a degenerate combination scores -inf.
+    """
+    _check_sample_sets(samples_x, samples_k)
+    with worker_thread("triphoton-search-worker") as both:
+        work = _Workspace(both, samples_x, samples_k)
+        h_x = functools.cache(lambda eta: work.entropy(samples_x, eta))
+        h_k = functools.cache(lambda beta: work.entropy(samples_k, beta))
+
+        def objective(coeffs: WitnessCoefficients) -> float:
+            hx, hk = h_x(coeffs.eta), h_k(coeffs.beta)
+            return -math.inf if -math.inf in (hx, hk) else continuous_witness(coeffs, hx, hk)
+
+        yield objective
 
 
 def sampled_witness_objective(
@@ -313,11 +320,8 @@ def sampled_witness_objective(
     This is the objective optimize_coefficients maximizes; -inf marks a
     degenerate (zero-variance) combination.
     """
-    _check_sample_sets(samples_x, samples_k)
-    with _Workspace(samples_x, samples_k) as work:
-        return _objective(
-            coeffs, work.entropy(samples_x, coeffs.eta), work.entropy(samples_k, coeffs.beta)
-        )
+    with _search_objective(samples_x, samples_k) as objective:
+        return objective(coeffs)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-3) -> tuple[float, float]:
@@ -351,18 +355,15 @@ def optimize_coefficients(
     log-magnitude within [1/8, 8].  The returned coefficients never score
     below the initial guess.
 
-    The objective is sampled_witness_objective.  Its two entropy terms
-    depend only on eta and only on beta, so each is computed once per
-    distinct vector, in a memo local to this call, and every one of them is
-    taken through one workspace sized to the larger sample set, which
-    splits the larger histograms between two threads (threads.py).
+    The objective is sampled_witness_objective's, set up once for the whole
+    search (_search_objective): each entropy term is computed once per
+    distinct vector, the larger histograms on two threads (threads.py).
 
     The coefficients, and with them the sd/8 bins, are chosen on the very
     samples the objective is evaluated on, so the in-sample objective of
     the result is not a certificate: it is biased high, most at small n
     (ROADMAP item 3).  Certify on samples the search did not see.
     """
-    _check_sample_sets(samples_x, samples_k)
     eta0 = np.abs(np.asarray(init.eta))
     beta0 = np.abs(np.asarray(init.beta))
 
@@ -373,16 +374,14 @@ def optimize_coefficients(
             beta=(beta0[0], signs_b[0] * beta0[0] * b2, signs_b[1] * beta0[0] * b3),
         )
 
-    with _Workspace(samples_x, samples_k) as work:
-        h_x = functools.cache(lambda eta: work.entropy(samples_x, eta))
-        h_k = functools.cache(lambda beta: work.entropy(samples_k, beta))
+    with _search_objective(samples_x, samples_k) as objective:
         # a local, not an attribute of score: score referring to itself would be a
         # reference cycle, and the workspace would live on until the collector ran
         warned = False
 
         def score(c: WitnessCoefficients) -> float:
             nonlocal warned
-            val = _objective(c, h_x(c.eta), h_k(c.beta))
+            val = objective(c)
             if val == -math.inf and not warned:
                 warnings.warn(
                     "degenerate (zero-variance) combination met during coefficient "

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import threading
 from pathlib import Path
 
@@ -279,6 +280,26 @@ def test_simulate_failed_write_leaves_no_files(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("run*")) == []
 
 
+def test_atomic_write_removes_its_temp_file_on_a_failed_rename(capsys, tmp_path, monkeypatch):
+    real_replace = os.replace
+    targets = []
+
+    def failing_second_replace(src, dst):
+        targets.append(Path(dst).name)
+        if len(targets) == 2:
+            raise OSError("rename failed")
+        real_replace(src, dst)
+
+    # _atomic_write itself runs; only the rename of the second file fails
+    monkeypatch.setattr(cli.os, "replace", failing_second_replace)
+    argv = ["simulate", "--sigma-u", "3", "--sigma-v", "1", "-n", "500", "--depth", "3"]
+    code, _, err = _run(capsys, argv + ["--out", str(tmp_path / "run")])
+    assert code == 2 and err.startswith("error:") and "rename failed" in err
+    assert targets == ["run_position.csv", "run_momentum.csv"]
+    # no run_momentum.csv.* temp file, and the position CSV is removed
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("failing", ["position", "momentum"])
 def test_simulate_failed_export_leaves_no_files_or_threads(capsys, tmp_path, monkeypatch, failing):
     real = scan.PartitionTree.record_bytes
@@ -388,6 +409,14 @@ def test_simulate_stdout_report(capsys):
     assert rep.exact_e3f_gebits == pytest.approx(want, rel=1e-12)
 
 
+def test_simulate_asymmetric_state_reports_null_exact(capsys):
+    argv = ["simulate", "--sigma-u", "2", "--sigma-v", "1", "--sigma-w", "1.5", "-n", "1000"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert '"exact_e3f_gebits": null' in out
+    assert EntanglementReport.from_json(out).exact_e3f_gebits is None
+
+
 def test_simulate_from_config(capsys):
     code, out, _ = _run(
         capsys,
@@ -492,6 +521,23 @@ def test_error_exit_codes(capsys, tmp_path):
     code, _, err = _run(capsys, ["sweep", "--config", str(FIG1), *wide, "--out", str(tmp_path / "x.csv")])
     assert code == 1 and err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["e3f", "--sigma-u", "abc", "--sigma-v", "1"], "not a number: 'abc'"),
+        (["e3f", "--sigma-u", "nan", "--sigma-v", "1"], "must be a positive number: 'nan'"),
+        (["e3f", "--sigma-u", "inf", "--sigma-v", "1"], "must be a positive number: 'inf'"),
+        (["e3f", "--sigma-u", "-1", "--sigma-v", "1"], "must be a positive number: '-1'"),
+        (["simulate", "--sigma-u", "2", "--sigma-v", "1", "-n", "1.5"], "not an integer: '1.5'"),
+    ],
+)
+def test_bad_numbers_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_config_with_sigma_w_is_a_usage_error(capsys):

@@ -187,6 +187,8 @@ def test_pmf_validation():
         DiscretePMF([0.5, 0.5], (3,))
     with pytest.raises(ValueError):
         DiscretePMF([np.nan, 1.0], (2,))
+    with pytest.raises(ValueError, match=r"axis cardinalities must be >= 1, got \(2, 0\)"):
+        DiscretePMF([], (2, 0))
 
 
 def test_marginal_validation():

@@ -112,6 +112,11 @@ def test_json_dumps_rejects_nonfinite_and_unknown_types():
         json_dumps({"a": object()})
 
 
+def test_json_dumps_writes_empty_containers_inline():
+    assert json_dumps([]) == "[]"
+    assert json_dumps({"a": [], "b": {}}) == '{\n  "a": [],\n  "b": {}\n}'
+
+
 def test_json_layout_parses_back():
     text = _report().to_json()
     assert text.endswith("\n")

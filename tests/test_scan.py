@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from triphoton import scan
 from triphoton.entropy import Histogram1D, differential_entropy_from_histogram
+from triphoton.report import EntanglementReport
 from triphoton.scan import (
     _BOX_WIDTHS,
     _LEAF_BLOCK,
@@ -691,6 +692,23 @@ def test_report_inputs_echo_and_end_to_end():
     assert rep.inputs["seed"] == 12
     _, _, rep = scan_pair(s, n_samples=30_000, threshold=None, max_depth=6, seed=12)
     assert rep.inputs["threshold"] == default_threshold(30_000)
+
+
+def test_asymmetric_state_scan_reports_no_exact_value():
+    # sigma_v != sigma_w has no closed-form E3F: the report holds null for it
+    _, _, rep = scan_pair(TripleGaussianState(2.0, 1.0, 1.5), n_samples=2000, max_depth=4)
+    assert rep.exact_e3f_gebits is None
+    text = rep.to_json()
+    assert '"exact_e3f_gebits": null' in text
+    assert EntanglementReport.from_json(text) == rep
+
+
+def test_collapse_refuses_a_tree_without_counts():
+    # every sample fell outside the box, so no code was kept
+    empty = _build_tree(np.empty(0, dtype=np.int64), 10, "position", 1.0, 4, 16)
+    assert (empty.total_count, empty.n_dropped) == (0, 10)
+    with pytest.raises(ValueError, match="^tree holds no counts$"):
+        tree_to_linear_histograms(empty, SPDC_COEFFICIENTS)
 
 
 def test_record_lines_format():

@@ -223,6 +223,12 @@ def test_config_error_cases(tmp_path):
         (_VALID + "qpm_order = nan\n", "qpm_order must be a positive integer, got nan"),
         (_VALID + "qpm_order = 1e300\n", "qpm_order must be at most 2**53, got 1e+300"),
         (
+            _VALID.replace("pump_power = 0.1", "pump_power = -0.1"),
+            "pump_power must be nonnegative and finite, got -0.1",
+        ),
+        (_VALID + "qpm_period = 0\n", "qpm_period must be positive, got 0.0"),
+        (_VALID + "qpm_period = -2e-5\n", "qpm_period must be positive, got -2e-05"),
+        (
             "just a line without equals\n" + _VALID,
             "{path}:1: expected 'key = value', got 'just a line without equals'",
         ),

@@ -27,6 +27,7 @@ from triphoton.states import (
     sample_momenta,
     sample_positions,
 )
+from triphoton.threads import worker_thread
 from triphoton.witness import (
     SPDC_COEFFICIENTS,
     DiscreteWitnessInput,
@@ -184,16 +185,17 @@ def test_workspace_entropy_equals_reference_path():
     s = TripleGaussianState(10.0, 1.0, 1.0)
     big = sample_positions(s, 30_000, 5)
     small = sample_momenta(s, 7_001, 6)
-    work = witness._Workspace(big, small)
-    rng = np.random.default_rng(12)
-    for _ in range(40):
-        coeffs = tuple(rng.uniform(0.1, 3.0, 3) * rng.choice([-1.0, 1.0], 3))
-        for samples in (big, small):
-            assert work.entropy(samples, coeffs) == _reference_entropy(samples, coeffs)
-    flat = SampleSet(values=np.tile([1.0, 2.0, 4.0], (64, 1)), kind="position")
-    for coeffs in ((1.0, 1.0, 1.0), (1.0, -0.5, -0.5), (-2.0, 1.0, 0.25)):
-        assert _reference_entropy(flat, coeffs) == -math.inf
-        assert work.entropy(flat, coeffs) == -math.inf
+    with worker_thread("triphoton-search-worker") as both:
+        work = witness._Workspace(both, big, small)
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            coeffs = tuple(rng.uniform(0.1, 3.0, 3) * rng.choice([-1.0, 1.0], 3))
+            for samples in (big, small):
+                assert work.entropy(samples, coeffs) == _reference_entropy(samples, coeffs)
+        flat = SampleSet(values=np.tile([1.0, 2.0, 4.0], (64, 1)), kind="position")
+        for coeffs in ((1.0, 1.0, 1.0), (1.0, -0.5, -0.5), (-2.0, 1.0, 0.25)):
+            assert _reference_entropy(flat, coeffs) == -math.inf
+            assert work.entropy(flat, coeffs) == -math.inf
 
 
 _ROWS = witness._THREADED_ROWS
@@ -217,8 +219,9 @@ def test_two_range_histogram_equals_one_pass(n, seed, scale, coeffs, flat):
     v = samples.values @ np.asarray(coeffs)
     width = v.std() / 8
     # the lowest threshold _split allows, so that n from 129 on is split
-    with mock.patch.object(witness, "_THREADED_ROWS", 129), witness._Workspace(samples) as work:
-        hist = work.histogram(samples, coeffs)
+    with mock.patch.object(witness, "_THREADED_ROWS", 129):
+        with worker_thread("triphoton-search-worker") as both:
+            hist = witness._Workspace(both, samples).histogram(samples, coeffs)
     if width == 0.0:
         assert hist is None
         return
@@ -278,9 +281,10 @@ def test_coefficient_search_allocates_no_sample_sized_arrays():
     # the workspace is freed on return, not left in a cycle for the collector
     assert current < column / 8
     # past the workspace's own two arrays, an evaluation allocates only bins
-    work = witness._Workspace(xs, ks)
-    assert _traced_memory(lambda: work.entropy(xs, (1.0, -0.7, -0.2)))[1] < column / 8
-    assert _traced_memory(lambda: work.histogram(ks, (1.0, 1.0, 1.0)))[1] < column / 8
+    with worker_thread("triphoton-search-worker") as both:
+        work = witness._Workspace(both, xs, ks)
+        assert _traced_memory(lambda: work.entropy(xs, (1.0, -0.7, -0.2)))[1] < column / 8
+        assert _traced_memory(lambda: work.histogram(ks, (1.0, 1.0, 1.0)))[1] < column / 8
 
 
 def test_sampled_witness_memory_is_linear_in_samples_at_fine_bins():
@@ -418,9 +422,9 @@ def test_search_worker_keeps_the_callers_errstate(monkeypatch):
     x[h::2, 0], x[h + 1 :: 2, 0] = 1e-200, -1e-200
     samples = SampleSet(values=x, kind="position")
     calls, _ = _recorded_phases(monkeypatch)
-    with np.errstate(under="raise"), witness._Workspace(samples) as work:
+    with np.errstate(under="raise"), worker_thread("triphoton-search-worker") as both:
         with pytest.raises(FloatingPointError, match="underflow"):
-            work.entropy(samples, (1.0, 1.0, 1.0))
+            witness._Workspace(both, samples).entropy(samples, (1.0, 1.0, 1.0))
     assert ("_square_deviations", True, (h, n)) in calls
 
 
@@ -570,6 +574,8 @@ def test_discrete_witness_input_validation():
         DiscreteWitnessInput(pmf_q=u2, pmf_r=u2, omegas=(3.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         DiscreteWitnessInput(pmf_q=u2, pmf_r=u2, omegas=(0.5, 1.0, 1.0))
+    with pytest.raises(ValueError, match="need one omega per party"):
+        DiscreteWitnessInput(pmf_q=u2, pmf_r=u2, omegas=(1.0, 1.0))
 
 
 def test_correlation_relation_bell_dimension():
@@ -694,3 +700,6 @@ def test_sample_csv_error_cases(tmp_path):
         load_position_samples(p)
     p.write_text("k1,k2,k3\n1,2,3\n")
     assert load_momentum_samples(p).kind == "momentum"
+    # a blank row is skipped, and the rows around it load
+    p.write_text("x1,x2,x3\n1,2,3\n\n4,5,6\n")
+    assert load_position_samples(p).values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
