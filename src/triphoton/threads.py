@@ -1,14 +1,11 @@
 """The one place triphoton starts a thread.
 
 Every worker thread is owned by a with worker_thread block in the function
-that uses it: scan_pair and export_pair run one basis on each thread, and
-witness._search_objective lends its worker to a _Workspace, which splits a
-histogram of at least witness._THREADED_ROWS rows at numpy's pairwise-sum
-midpoint and runs the second range there; witness_from_samples uses none.
-Either way the two threads share no array that either writes, so every
-result is the one a single thread computes.  Each worker call runs in a copy
-of the caller's context, so numpy's errstate holds there too, and the worker
-is joined before the with block is left, also when a call raises.
+that uses it: scan_pair and export_pair run one basis on each thread.  The
+two threads share no array that either writes, so every result is the one a
+single thread computes.  Each worker call runs in a copy of the caller's
+context, so numpy's errstate holds there too, and the worker is joined
+before the with block is left, also when a call raises.
 """
 
 from __future__ import annotations

@@ -17,16 +17,14 @@ basis per party, inverse overlap Omega_i):
 
 which evaluates to exactly 1 gebit for GHZ statistics in the Z/X bases.
 
-optimize_coefficients and sampled_witness_objective share one objective, set
-up per call by _search_objective, whose with worker_thread block owns the worker
-on which one _Workspace splits the larger sd/8 histograms (threads.py).
+optimize_coefficients ranks candidate coefficients on each basis's 3x3 sample
+covariance and checks its result once on sampled_witness_objective, the
+witness at sd/8 histogram bins; both run on the calling thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,8 +42,7 @@ from .entropy import (
     stacked_mutual_information,
 )
 from .report import EntanglementReport
-from .states import SampleSet, TripleGaussianState, exact_e3f, to_momentum
-from .threads import worker_thread
+from .states import SampleSet, TripleGaussianState, chunk_bounds, exact_e3f, to_momentum
 
 
 @dataclass(frozen=True)
@@ -140,111 +137,6 @@ def histogram_report(
     )
 
 
-_BINS_PER_SIGMA = 8  # self-scaling histogram resolution for the objective
-
-# Rows from which a histogram is split in two row ranges, the second run on
-# the workspace's worker thread; it must exceed 128 (see _split).
-# optimize_coefficients, median ms per call on one thread -> two (2-vCPU
-# VM, one BLAS thread; BENCH_search.json): 35 -> 94 at 20k rows,
-# 88 -> 88 at 75k, 183 -> 159 at 100k, 320 -> 234 at 200k.  Below this the
-# three handoffs per histogram, about 50 us each, cost more than the halved
-# passes save.
-_THREADED_ROWS = 100_000
-
-
-def _split(n: int) -> int:
-    """Where a histogram of n rows is split into two row ranges: numpy's pairwise-sum midpoint.
-
-    np.add.reduce over n > 128 contiguous values adds the sums of [0, h) and
-    [h, n) last, so the two ranges' partial sums add up to it bit for bit.
-    """
-    return n // 2 - (n // 2) % 8
-
-
-def _added(counts: list[np.ndarray]) -> np.ndarray:
-    """Bin counts summed over row ranges; each array is as long as its range's last bin."""
-    total = max(counts, key=len)
-    for c in counts:
-        if c is not total:
-            total[: c.size] += c
-    return total
-
-
-class _Workspace:
-    """Projection and scratch arrays for the larger of some sample sets.
-
-    Every combination histogram taken through one workspace reuses these
-    two arrays, so none allocates an array the size of its sample set.
-
-    Each histogram runs in three phases: project and take a sum and a min,
-    square the deviations and sum them, then bin and count.  A histogram of
-    at least _THREADED_ROWS rows runs each phase over the rows [0, h) on the
-    calling thread and [h, n), h = _split(n), on the worker (threads.py),
-    and the caller adds the two sums and the two count arrays, so every
-    value equals that of one pass over all rows.  A smaller one makes that
-    one pass on the calling thread.  The worker is lent: both comes from the
-    caller's with worker_thread block (_search_objective).
-    """
-
-    def __init__(self, both, *sample_sets: SampleSet):
-        self._both = both
-        n = max(len(s) for s in sample_sets)
-        self._projection = np.empty(n)
-        self._scratch = np.empty(n)
-
-    def _per_range(self, phase, n: int, *args) -> list:
-        """[phase(rows, *args)] for each row range of n rows, in order."""
-        if n < _THREADED_ROWS:
-            return [phase(slice(0, n), *args)]
-        h = _split(n)
-        theirs, mine = self._both(phase, (slice(h, n), *args), (slice(0, h), *args))
-        return [mine, theirs]
-
-    def _project(self, rows: slice, values: np.ndarray, coeffs: np.ndarray) -> tuple:
-        out = np.matmul(values[rows], coeffs, out=self._projection[rows])
-        return np.add.reduce(out), out.min()
-
-    def _square_deviations(self, rows: slice, mean: float):
-        dev = np.subtract(self._projection[rows], mean, out=self._scratch[rows])
-        np.square(dev, out=dev)
-        return np.add.reduce(dev)
-
-    def _bin_counts(self, rows: slice, origin: float, bin_width: float) -> np.ndarray:
-        scaled = np.subtract(self._projection[rows], origin, out=self._scratch[rows])
-        scaled /= bin_width
-        # values - origin >= 0, so the truncating cast is the floor; in place, as in Histogram1D.of
-        idx = scaled.view(np.int64)
-        np.copyto(idx, scaled, casting="unsafe")
-        return np.bincount(idx)
-
-    def histogram(self, samples: SampleSet, coeffs: tuple[float, float, float]) -> Histogram1D | None:
-        """Histogram of samples @ coeffs at bins of sd/8, bin 0 centred on the smallest.
-
-        None at zero variance, else the width, m and nonzero counts of Histogram1D.of(values,
-        values.std() / 8) bit for bit.  Its dense counts span at most 8 sqrt(2n) + 2 bins (5061
-        at 200k rows): n sd**2 sums the squared deviations, so no two lie over sd sqrt(2n) apart.
-        """
-        n = len(samples)
-        sums, mins = zip(*self._per_range(self._project, n, samples.values, np.asarray(coeffs)))
-        # sum() adds the ranges' sums in np.add.reduce's order
-        squares = self._per_range(self._square_deviations, n, sum(sums) / n)
-        sd = math.sqrt(sum(squares) / n)
-        if sd == 0.0:
-            return None
-        bin_width = sd / _BINS_PER_SIGMA
-        origin = float(np.min(mins)) - 0.5 * bin_width
-        counts = self._per_range(self._bin_counts, n, origin, bin_width)
-        return Histogram1D(bin_width, _added(counts))
-
-    def entropy(self, samples: SampleSet, coeffs: tuple[float, float, float]) -> float:
-        """Histogram entropy (bits) of samples @ coeffs at bins of sd/8.
-
-        A zero-variance combination is a point mass: its entropy is -inf.
-        """
-        hist = self.histogram(samples, coeffs)
-        return -math.inf if hist is None else differential_entropy_from_histogram(hist)
-
-
 def _check_sample_sets(samples_x: SampleSet, samples_k: SampleSet) -> None:
     """Raise ValueError unless samples_x holds positions and samples_k momenta."""
     if samples_x.kind != "position":
@@ -289,27 +181,15 @@ def witness_from_samples(
 
 _MAG_LO, _MAG_HI = 1.0 / 8.0, 8.0  # magnitude ratio search range per coordinate
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BINS_PER_SIGMA = 8  # self-scaling histogram resolution for the objective
 
 
-@contextlib.contextmanager
-def _search_objective(samples_x: SampleSet, samples_k: SampleSet):
-    """Yields objective(coeffs), the sd/8 witness of these samples, for the with block.
-
-    The block owns the call's worker thread, which starts when a histogram is
-    first split, and one workspace.  Each entropy term is computed once per
-    distinct eta or beta; a degenerate combination scores -inf.
-    """
-    _check_sample_sets(samples_x, samples_k)
-    with worker_thread("triphoton-search-worker") as both:
-        work = _Workspace(both, samples_x, samples_k)
-        h_x = functools.cache(lambda eta: work.entropy(samples_x, eta))
-        h_k = functools.cache(lambda beta: work.entropy(samples_k, beta))
-
-        def objective(coeffs: WitnessCoefficients) -> float:
-            hx, hk = h_x(coeffs.eta), h_k(coeffs.beta)
-            return -math.inf if -math.inf in (hx, hk) else continuous_witness(coeffs, hx, hk)
-
-        yield objective
+def _sd_binned_entropy(values: np.ndarray) -> float:
+    """Histogram entropy (bits) of values at bins of sd/8; -inf where the sd is 0."""
+    sd = float(values.std())
+    if sd == 0.0:
+        return -math.inf
+    return differential_entropy_from_histogram(Histogram1D.of(values, sd / _BINS_PER_SIGMA))
 
 
 def sampled_witness_objective(
@@ -317,11 +197,31 @@ def sampled_witness_objective(
 ) -> float:
     """Witness value with self-scaling bins (sd/8 of each combination).
 
-    This is the objective optimize_coefficients maximizes; -inf marks a
-    degenerate (zero-variance) combination.
+    optimize_coefficients never returns coefficients that score below its
+    initial guess here; -inf marks a degenerate (zero-variance) combination.
     """
-    with _search_objective(samples_x, samples_k) as objective:
-        return objective(coeffs)
+    _check_sample_sets(samples_x, samples_k)
+    h_x = _sd_binned_entropy(samples_x.values @ np.asarray(coeffs.eta))
+    h_k = _sd_binned_entropy(samples_k.values @ np.asarray(coeffs.beta))
+    return -math.inf if -math.inf in (h_x, h_k) else continuous_witness(coeffs, h_x, h_k)
+
+
+def _covariance(samples: SampleSet) -> np.ndarray:
+    """3x3 sample covariance (ddof 0), centred chunk by chunk: no n x 3 copy is made."""
+    values = samples.values
+    mean = values.mean(axis=0)
+    cov = np.zeros((3, 3))
+    for start, stop in chunk_bounds(len(values)):
+        block = values[start:stop] - mean
+        cov += block.T @ block
+    return cov / len(values)
+
+
+def _gaussian_bits(cov: np.ndarray, c: tuple[float, float, float]) -> float:
+    """1/2 log2(2 pi e c.cov.c), the entropy of the Gaussian of c.x's variance; -inf unless > 0."""
+    c = np.asarray(c)
+    variance = float(c @ cov @ c)
+    return gaussian_differential_entropy(math.sqrt(variance)) if variance > 0.0 else -math.inf
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-3) -> tuple[float, float]:
@@ -349,21 +249,33 @@ def optimize_coefficients(
 ) -> WitnessCoefficients:
     """Search coefficients maximizing the sampled witness.
 
+    Each candidate is scored by the continuous witness with each combination
+    entropy replaced by 1/2 log2(2 pi e c.S.c), the entropy of the Gaussian
+    of the combination's variance, S being the basis's 3x3 sample covariance
+    (one O(N) pass per basis, then O(1) per candidate).  Of all densities of
+    one variance the Gaussian has the most entropy (Cover & Thomas, Thm
+    8.6.5), so at the true covariance the score is a lower bound on the
+    witness with exact entropies, and the search maximizes that bound as
+    the samples estimate it.  Variance is a poor proxy for heavy-tailed
+    data, such as a sinc**2 phase-matching profile; every state in this
+    package is triple-Gaussian.
+
     Exhausts the 4 sign patterns per vector (modulo the irrelevant global
     sign), then refines the four free magnitude ratios (second and third
     components relative to the first) by coordinate-wise golden section on
     log-magnitude within [1/8, 8].  The returned coefficients never score
-    below the initial guess.
-
-    The objective is sampled_witness_objective's, set up once for the whole
-    search (_search_objective): each entropy term is computed once per
-    distinct vector, the larger histograms on two threads (threads.py).
+    below the initial guess on sampled_witness_objective: the refined ones
+    are checked against it there once, and the initial guess is returned if
+    they score lower.  The check is needed, as a nearly singular S can rank
+    high a vector whose projection has sd 0.
 
     The coefficients, and with them the sd/8 bins, are chosen on the very
     samples the objective is evaluated on, so the in-sample objective of
     the result is not a certificate: it is biased high, most at small n
     (ROADMAP item 3).  Certify on samples the search did not see.
     """
+    _check_sample_sets(samples_x, samples_k)
+    cov_x, cov_k = _covariance(samples_x), _covariance(samples_k)
     eta0 = np.abs(np.asarray(init.eta))
     beta0 = np.abs(np.asarray(init.beta))
 
@@ -374,58 +286,59 @@ def optimize_coefficients(
             beta=(beta0[0], signs_b[0] * beta0[0] * b2, signs_b[1] * beta0[0] * b3),
         )
 
-    with _search_objective(samples_x, samples_k) as objective:
-        # a local, not an attribute of score: score referring to itself would be a
-        # reference cycle, and the workspace would live on until the collector ran
-        warned = False
+    warned = False
 
-        def score(c: WitnessCoefficients) -> float:
-            nonlocal warned
-            val = objective(c)
-            if val == -math.inf and not warned:
-                warnings.warn(
-                    "degenerate (zero-variance) combination met during coefficient "
-                    "search; affected axis left at its initial value",
-                    RuntimeWarning,
-                )
-                warned = True
-            return val
+    def score(c: WitnessCoefficients) -> float:
+        nonlocal warned
+        h_x, h_k = _gaussian_bits(cov_x, c.eta), _gaussian_bits(cov_k, c.beta)
+        if -math.inf not in (h_x, h_k):
+            return continuous_witness(c, h_x, h_k)
+        if not warned:
+            warnings.warn(
+                "degenerate (zero-variance) combination met during coefficient "
+                "search; affected axis left at its initial value",
+                RuntimeWarning,
+            )
+            warned = True
+        return -math.inf
 
-        init_mags = np.array(
-            [eta0[1] / eta0[0], eta0[2] / eta0[0], beta0[1] / beta0[0], beta0[2] / beta0[0]]
-        )
-        init_mags = np.clip(init_mags, _MAG_LO, _MAG_HI)
-        patterns = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+    init_mags = np.array(
+        [eta0[1] / eta0[0], eta0[2] / eta0[0], beta0[1] / beta0[0], beta0[2] / beta0[0]]
+    )
+    init_mags = np.clip(init_mags, _MAG_LO, _MAG_HI)
+    patterns = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 
-        best, best_val = None, -math.inf
-        for se in patterns:
-            for sb in patterns:
-                cand = build(se, sb, init_mags)
-                val = score(cand)
-                if val > best_val:
-                    best, best_val, best_signs = cand, val, (se, sb)
-        if best is None:  # every combination degenerate; nothing to refine
-            return init
-
-        mags = init_mags.copy()
-        log_lo, log_hi = math.log(_MAG_LO), math.log(_MAG_HI)
-        for _sweep in range(2):
-            for axis in range(4):
-                def along(lm, axis=axis):
-                    trial = mags.copy()
-                    trial[axis] = math.exp(lm)
-                    return score(build(*best_signs, trial))
-
-                lm_best, val = _golden_max(along, log_lo, log_hi)
-                if val > best_val:  # best_val is finite, so this rules out -inf and nan
-                    mags[axis] = math.exp(lm_best)
-                    best_val = val
-                # degenerate or no improvement: keep the incumbent value
-
-        refined = build(*best_signs, mags)
-        if score(refined) >= score(init):
-            return refined
+    best, best_val = None, -math.inf
+    for se in patterns:
+        for sb in patterns:
+            cand = build(se, sb, init_mags)
+            val = score(cand)
+            if val > best_val:
+                best, best_val, best_signs = cand, val, (se, sb)
+    if best is None:  # every combination degenerate; nothing to refine
         return init
+
+    mags = init_mags.copy()
+    log_lo, log_hi = math.log(_MAG_LO), math.log(_MAG_HI)
+    for _sweep in range(2):
+        for axis in range(4):
+            def along(lm, axis=axis):
+                trial = mags.copy()
+                trial[axis] = math.exp(lm)
+                return score(build(*best_signs, trial))
+
+            lm_best, val = _golden_max(along, log_lo, log_hi)
+            if val > best_val:  # best_val is finite, so this rules out -inf and nan
+                mags[axis] = math.exp(lm_best)
+                best_val = val
+            # degenerate or no improvement: keep the incumbent value
+
+    refined = build(*best_signs, mags)
+    if sampled_witness_objective(samples_x, samples_k, refined) >= sampled_witness_objective(
+        samples_x, samples_k, init
+    ):
+        return refined
+    return init
 
 
 # --- discrete-outcome witness ----------------------------------------------

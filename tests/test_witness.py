@@ -5,7 +5,7 @@ import math
 import re
 import threading
 import tracemalloc
-from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ from triphoton.states import (
     sample_momenta,
     sample_positions,
 )
-from triphoton.threads import worker_thread
 from triphoton.witness import (
     SPDC_COEFFICIENTS,
     DiscreteWitnessInput,
@@ -185,78 +184,47 @@ def test_workspace_entropy_equals_reference_path():
     s = TripleGaussianState(10.0, 1.0, 1.0)
     big = sample_positions(s, 30_000, 5)
     small = sample_momenta(s, 7_001, 6)
-    with worker_thread("triphoton-search-worker") as both:
-        work = witness._Workspace(both, big, small)
-        rng = np.random.default_rng(12)
-        for _ in range(40):
-            coeffs = tuple(rng.uniform(0.1, 3.0, 3) * rng.choice([-1.0, 1.0], 3))
-            for samples in (big, small):
-                assert work.entropy(samples, coeffs) == _reference_entropy(samples, coeffs)
-        flat = SampleSet(values=np.tile([1.0, 2.0, 4.0], (64, 1)), kind="position")
-        for coeffs in ((1.0, 1.0, 1.0), (1.0, -0.5, -0.5), (-2.0, 1.0, 0.25)):
-            assert _reference_entropy(flat, coeffs) == -math.inf
-            assert work.entropy(flat, coeffs) == -math.inf
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        coeffs = tuple(rng.uniform(0.1, 3.0, 3) * rng.choice([-1.0, 1.0], 3))
+        both = WitnessCoefficients(eta=coeffs, beta=coeffs)
+        want = continuous_witness(
+            both, _reference_entropy(big, coeffs), _reference_entropy(small, coeffs)
+        )
+        assert sampled_witness_objective(big, small, both) == want
+    flat = SampleSet(values=np.tile([1.0, 2.0, 4.0], (64, 1)), kind="position")
+    for coeffs in ((1.0, 1.0, 1.0), (1.0, -0.5, -0.5), (-2.0, 1.0, 0.25)):
+        assert _reference_entropy(flat, coeffs) == -math.inf
+        both = WitnessCoefficients(eta=coeffs, beta=coeffs)
+        assert sampled_witness_objective(flat, small, both) == -math.inf
 
 
-_ROWS = witness._THREADED_ROWS
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.one_of(st.integers(1, 160), st.integers(_ROWS - 40, _ROWS + 40), st.integers(160, 5000)),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.floats(1e-3, 1e3),
-    coeffs=st.tuples(*[st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)] * 3),
-    flat=st.booleans(),
+@pytest.mark.parametrize(
+    "ratio, n, offset", [(10.0, 1, 0.0), (10.0, 64, 0.0), (10.0, 40_000, 0.0), (1.0, 40_000, 1e6)]
 )
-@example(n=100, seed=0, scale=1.0, coeffs=(1.0, -0.5, -0.5), flat=False)
-@example(n=132, seed=0, scale=1.0, coeffs=(1.0, -0.5, -0.5), flat=False)
-@example(n=_ROWS + 1, seed=1, scale=1.0, coeffs=(1.0, 1.0, 1.0), flat=False)
-def test_two_range_histogram_equals_one_pass(n, seed, scale, coeffs, flat):
-    rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((1 if flat else n, 3)) * scale
-    samples = SampleSet(values=np.repeat(rows, n, axis=0) if flat else rows, kind="position")
-    v = samples.values @ np.asarray(coeffs)
-    width = v.std() / 8
-    # the lowest threshold _split allows, so that n from 129 on is split
-    with mock.patch.object(witness, "_THREADED_ROWS", 129):
-        with worker_thread("triphoton-search-worker") as both:
-            hist = witness._Workspace(both, samples).histogram(samples, coeffs)
-    if width == 0.0:
-        assert hist is None
-        return
-    want = Histogram1D.of(v, width)
-    assert (hist.bin_width, hist.support_bins) == (want.bin_width, want.support_bins)
-    # the workspace's counts are dense; Histogram1D.of leaves empty bins out
-    # when the span passes 4 bins per value, which sd/8 bins do only below 9 rows
-    assert hist.counts.size == hist.support_bins
-    assert np.array_equal(hist.counts[hist.counts > 0], want.counts[want.counts > 0])
-    if n >= 9:
-        assert np.array_equal(hist.counts, want.counts)
+def test_covariance_matches_numpy(ratio, n, offset):
+    # 40,000 rows span three chunks; at an offset of 1e6 and sd 1, the raw
+    # moments E[xx] - E[x]E[x] would lose all but about 4 digits
+    values = sample_positions(TripleGaussianState(ratio, 1.0, 1.0), n, 3).values + offset
+    got = witness._covariance(SampleSet(values=values, kind="position"))
+    want = np.cov(values.T, ddof=0)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_optimizer_returns_pinned_coefficients():
-    # 20k rows: recorded before the search ran on a preallocated workspace;
-    # 200k rows: recorded before it split each histogram's rows over two threads
+    # recorded when the search first ranked candidates on sample covariances
     pins = {
-        (10.0, 20_000, 3, 4): (
-            (1.0, -0.5004058760127472, -0.5006285300367548),
-            (1.0, 1.000805061302655, 1.0003599542806283),
+        (10.0, 20_000, 3, 4): SPDC_COEFFICIENTS,
+        (100.0, 20_000, 5, 6): WitnessCoefficients(
+            eta=(1.0, -0.5000458239535829, -0.5000458239535829), beta=(1.0, 1.0, 1.0)
         ),
-        (100.0, 20_000, 5, 6): ((1.0, -0.4999083646903032, -0.5), (1.0, 1.0000849619984356, 1.0)),
-        (100.0, 200_000, 5, 6): (
-            (1.0, -0.5000458239535829, -0.5000458239535829),
-            (1.0, 1.0000849619984356, 1.0),
-        ),
-        (30.0, 200_000, 9, 10): (
-            (1.0, -0.5001833210138877, -0.5001833210138877),
-            (1.0, 1.0000849619984356, 1.0000849619984356),
-        ),
+        (100.0, 200_000, 5, 6): SPDC_COEFFICIENTS,
+        (30.0, 200_000, 9, 10): SPDC_COEFFICIENTS,
     }
-    for (ratio, n, seed_x, seed_k), (eta, beta) in pins.items():
+    for (ratio, n, seed_x, seed_k), want in pins.items():
         s = TripleGaussianState(ratio, 1.0, 1.0)
         best = optimize_coefficients(sample_positions(s, n, seed_x), sample_momenta(s, n, seed_k))
-        assert best == WitnessCoefficients(eta=eta, beta=beta)
+        assert best == want
 
 
 def _traced_memory(fn) -> tuple[int, int]:
@@ -278,13 +246,8 @@ def test_coefficient_search_allocates_no_sample_sized_arrays():
     xs, ks = sample_positions(s, n, 7), sample_momenta(s, n, 8)
     current, peak = _traced_memory(lambda: optimize_coefficients(xs, ks))
     assert peak < 3 * column
-    # the workspace is freed on return, not left in a cycle for the collector
+    # nothing the search allocates outlives the call
     assert current < column / 8
-    # past the workspace's own two arrays, an evaluation allocates only bins
-    with worker_thread("triphoton-search-worker") as both:
-        work = witness._Workspace(both, xs, ks)
-        assert _traced_memory(lambda: work.entropy(xs, (1.0, -0.7, -0.2)))[1] < column / 8
-        assert _traced_memory(lambda: work.histogram(ks, (1.0, 1.0, 1.0)))[1] < column / 8
 
 
 def test_sampled_witness_memory_is_linear_in_samples_at_fine_bins():
@@ -318,12 +281,6 @@ def test_sampled_support_is_the_span_not_the_occupied_bins():
     assert rep.entropy_k_bits == pytest.approx(want, abs=1e-12)
 
 
-@pytest.fixture(scope="module")
-def threaded_samples():
-    s = TripleGaussianState(10.0, 1.0, 1.0)
-    return sample_positions(s, _ROWS, 21), sample_momenta(s, _ROWS, 22)
-
-
 _SEARCH_ENTRY_POINTS = {
     "optimize": lambda xs, ks: optimize_coefficients(xs, ks),
     "objective": lambda xs, ks: sampled_witness_objective(xs, ks, SPDC_COEFFICIENTS),
@@ -331,101 +288,23 @@ _SEARCH_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "entry, phase",
-    [
-        (entry, phase)
-        for entry in _SEARCH_ENTRY_POINTS
-        for phase in (None, "_project", "_square_deviations", "_bin_counts")
-        # witness_from_samples bins on the calling thread, with no workspace
-        if entry != "from_samples" or phase is None
-    ],
-)
-def test_search_worker_ends_with_the_call(monkeypatch, threaded_samples, entry, phase):
-    if phase is not None:
-        real = getattr(witness._Workspace, phase)
+@pytest.mark.parametrize("entry", _SEARCH_ENTRY_POINTS)
+def test_search_starts_no_thread(monkeypatch, entry):
+    s = TripleGaussianState(10.0, 1.0, 1.0)
+    xs, ks = sample_positions(s, 100_000, 21), sample_momenta(s, 100_000, 22)
+    started = []
+    real_start = threading.Thread.start
 
-        def fail_on_worker(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError(f"worker {phase} failed")
-            return real(*args)
+    def record(thread):
+        started.append(thread.name)
+        real_start(thread)
 
-        monkeypatch.setattr(witness._Workspace, phase, fail_on_worker)
+    monkeypatch.setattr(threading.Thread, "start", record)
     before = threading.active_count()
-    if phase is None:
-        _SEARCH_ENTRY_POINTS[entry](*threaded_samples)
-    else:
-        with pytest.raises(RuntimeError, match=f"worker {phase} failed"):
-            _SEARCH_ENTRY_POINTS[entry](*threaded_samples)
-    # the worker was joined before the result or the error reached the caller
+    _SEARCH_ENTRY_POINTS[entry](xs, ks)
+    assert started == []
     assert threading.active_count() == before
-
-
-_PHASES = ("_project", "_square_deviations", "_bin_counts")
-
-
-def _recorded_phases(monkeypatch) -> tuple[list, list]:
-    """Two lists, each with one entry per _Workspace phase call from here on.
-
-    The first holds (phase, runs on the search worker, (start, stop) of its
-    rows), the second the number of search worker threads alive.
-    """
-    calls, workers = [], []
-
-    def is_worker(thread):
-        return thread.name.startswith("triphoton-search-worker")
-
-    for phase in _PHASES:
-        real = getattr(witness._Workspace, phase)
-
-        def record(self, rows, *args, phase=phase, real=real):
-            calls.append((phase, is_worker(threading.current_thread()), (rows.start, rows.stop)))
-            workers.append(sum(map(is_worker, threading.enumerate())))
-            return real(self, rows, *args)
-
-        monkeypatch.setattr(witness._Workspace, phase, record)
-    return calls, workers
-
-
-def test_a_histogram_is_split_only_from_threaded_rows(monkeypatch, threaded_samples):
-    xs, ks = threaded_samples
-    n = _ROWS
-    h = witness._split(n)
-    fewer_x = SampleSet(values=xs.values[: n - 1], kind="position")
-    fewer_k = SampleSet(values=ks.values[: n - 1], kind="momentum")
-    calls, workers = _recorded_phases(monkeypatch)
-
-    # below _THREADED_ROWS every phase makes one pass on the calling thread,
-    # and no worker thread starts
-    sampled_witness_objective(fewer_x, fewer_k, SPDC_COEFFICIENTS)
-    assert calls == [(p, False, (0, n - 1)) for p in _PHASES] * 2
-    assert workers == [0] * 6
-
-    # only the position histogram has _THREADED_ROWS rows: its second range
-    # runs on the worker, and the momentum histogram stays on the caller
-    calls.clear()
-    sampled_witness_objective(xs, fewer_k, SPDC_COEFFICIENTS)
-    position, momentum = calls[:6], calls[6:]
-    assert sorted(position) == sorted(
-        [(p, False, (0, h)) for p in _PHASES] + [(p, True, (h, n)) for p in _PHASES]
-    )
-    assert momentum == [(p, False, (0, n - 1)) for p in _PHASES]
-
-
-def test_search_worker_keeps_the_callers_errstate(monkeypatch):
-    # the worker gets rows [h, n): there the squared deviations from the
-    # mean, 0, underflow; on the caller's rows [0, h) they are 1
-    n = _ROWS
-    h = witness._split(n)
-    x = np.zeros((n, 3))
-    x[:h:2, 0], x[1:h:2, 0] = 1.0, -1.0
-    x[h::2, 0], x[h + 1 :: 2, 0] = 1e-200, -1e-200
-    samples = SampleSet(values=x, kind="position")
-    calls, _ = _recorded_phases(monkeypatch)
-    with np.errstate(under="raise"), worker_thread("triphoton-search-worker") as both:
-        with pytest.raises(FloatingPointError, match="underflow"):
-            witness._Workspace(both, samples).entropy(samples, (1.0, 1.0, 1.0))
-    assert ("_square_deviations", True, (h, n)) in calls
+    assert not any(t.name.startswith("triphoton-search-worker") for t in threading.enumerate())
 
 
 @pytest.mark.parametrize("entry", _SEARCH_ENTRY_POINTS)
@@ -511,6 +390,34 @@ def test_optimizer_warns_on_degenerate_samples():
         out = optimize_coefficients(flat_x, flat_k)
     assert len(record) == 1
     assert out == SPDC_COEFFICIENTS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.floats(1.0, 100.0),
+    n=st.integers(64, 5000),
+    seed=st.integers(0, 2**31 - 2),
+    flat=st.sampled_from([None, "exact", "rounded"]),
+)
+@example(ratio=1.0, n=64, seed=0, flat="exact")
+def test_optimizer_result_never_scores_below_init(ratio, n, seed, flat):
+    s = TripleGaussianState(ratio, 1.0, 1.0)
+    xs, ks = sample_positions(s, n, seed), sample_momenta(s, n, seed + 1)
+    # "exact": every combination has sd 0 exactly.  "rounded": one drawn row
+    # repeated, whose column means round, leaving a covariance of rounding
+    # error alone to rank the candidates
+    if flat is not None:
+        row = [1.0, 2.0, 4.0] if flat == "exact" else xs.values[0]
+        xs = SampleSet(values=np.tile(row, (n, 1)), kind="position")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        best = optimize_coefficients(xs, ks)
+    if flat != "rounded":
+        assert [w.category for w in record] == [RuntimeWarning] * (flat == "exact")
+    if flat == "exact":
+        assert best == SPDC_COEFFICIENTS
+    init = sampled_witness_objective(xs, ks, SPDC_COEFFICIENTS)
+    assert sampled_witness_objective(xs, ks, best) >= init
 
 
 def _ghz_inputs():
