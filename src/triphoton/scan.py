@@ -16,10 +16,10 @@ per triplet and sorts the narrower codes faster.  The codes are sorted
 once and the tree is refined from that array, so it equals the tree of a
 one-shot draw.  scan_pair runs each basis end to end (draw, encode, sort,
 refine, collapse) on its own thread, and export_pair builds the two trees'
-CSV bytes the same way; threads.py states the rule both follow, so the
-trees and bytes are those of scanning the bases in turn.
+CSV bytes the same way (_on_two_threads); the threads share no written
+array, so the trees and bytes are those of scanning the bases in turn.
 The collapse and the export work through the leaves _LEAF_BLOCK at a time,
-so that the two bases' peaks, which now overlap, stay small.
+so that the two bases' peaks, which coincide, stay small.
 
 Leaf-level counts are then collapsed onto the witness's linear combinations
 (cell centers only, mimicking what such an apparatus can record) and fed to
@@ -31,6 +31,9 @@ counts per leaf.
 
 from __future__ import annotations
 
+import contextvars
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +48,6 @@ from .states import (
     exact_e3f,
     to_momentum,
 )
-from .threads import worker_thread
 from .witness import SPDC_COEFFICIENTS, WitnessCoefficients, histogram_report
 
 _BASES = ("position", "momentum")
@@ -401,6 +403,22 @@ def tree_to_linear_histograms(
     return Histogram1D.of(values, width, weights=counts, support_bins=2**depth + 1)
 
 
+def _on_two_threads(fn: Callable, worker_args: tuple, caller_args: tuple) -> tuple:
+    """(fn(*worker_args), fn(*caller_args)), the first on a worker thread.
+
+    The only place triphoton starts a thread.  The two calls must share no
+    array that either writes, so the results are those of one thread.  The
+    worker call runs in a copy of the caller's context, so numpy's errstate
+    holds there too, and the worker is joined before this returns, also
+    when a call raises; if both raise, the caller's exception propagates.
+    """
+    with ThreadPoolExecutor(1, thread_name_prefix="triphoton-scan-worker") as pool:
+        # a bare submit would run fn in the worker's own context
+        theirs = pool.submit(contextvars.copy_context().run, fn, *worker_args)
+        mine = fn(*caller_args)
+        return theirs.result(), mine
+
+
 def scan_pair(
     s: TripleGaussianState,
     coeffs: WitnessCoefficients = SPDC_COEFFICIENTS,
@@ -418,10 +436,10 @@ def scan_pair(
 
     Each basis runs end to end (draw, encode, sort, refine, collapse to its
     combination histogram) on its own thread: position on a worker thread,
-    momentum on the calling one (threads.py).  The two share no state but
-    a list of two code buffers allocated here, from which each takes one
-    and frees it once its tree is built.  The trees equal those of
-    simulate_adaptive_scan on the same streams.
+    momentum on the calling one (_on_two_threads).  The two share no
+    state but a list of two code buffers allocated here, from which each
+    takes one and frees it once its tree is built.  The trees equal those
+    of simulate_adaptive_scan on the same streams.
     """
     threshold = _checked_threshold(n_samples, threshold, max_depth)
     ss_x, ss_k = np.random.SeedSequence(seed).spawn(2)
@@ -434,10 +452,9 @@ def scan_pair(
         tree = _scan_tree(s, basis, n_samples, threshold, max_depth, stream, buffers.pop())
         return tree, tree_to_linear_histograms(tree, coeffs)
 
-    with worker_thread("triphoton-scan-worker") as both:
-        (tree_x, hist_x), (tree_k, hist_k) = both(
-            scan_basis, ("position", ss_x), ("momentum", ss_k)
-        )
+    (tree_x, hist_x), (tree_k, hist_k) = _on_two_threads(
+        scan_basis, ("position", ss_x), ("momentum", ss_k)
+    )
     try:
         exact = exact_e3f(s)
     except UnsupportedStateError:
@@ -470,5 +487,4 @@ def scan_pair(
 
 def export_pair(tree_x: PartitionTree, tree_k: PartitionTree) -> tuple[bytes, bytes]:
     """record_bytes() of both trees, the first on a worker thread."""
-    with worker_thread("triphoton-scan-worker") as both:
-        return both(PartitionTree.record_bytes, (tree_x,), (tree_k,))
+    return _on_two_threads(PartitionTree.record_bytes, (tree_x,), (tree_k,))

@@ -185,9 +185,9 @@ _BINS_PER_SIGMA = 8  # self-scaling histogram resolution for the objective
 
 
 def _sd_binned_entropy(values: np.ndarray) -> float:
-    """Histogram entropy (bits) of values at bins of sd/8; -inf where the sd is 0."""
+    """Histogram entropy (bits) at bins of sd/8; -inf for a point mass, whose std may not be 0."""
     sd = float(values.std())
-    if sd == 0.0:
+    if sd == 0.0 or values.min() == values.max():
         return -math.inf
     return differential_entropy_from_histogram(Histogram1D.of(values, sd / _BINS_PER_SIGMA))
 

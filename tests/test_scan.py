@@ -1,5 +1,6 @@
 """Adaptive octree scan simulation and histogram extraction."""
 
+import ast
 import dataclasses
 import gc
 import json
@@ -8,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from bisect import bisect_left
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +43,6 @@ from triphoton.states import (
     sample_positions,
     to_momentum,
 )
-from triphoton.threads import worker_thread
 from triphoton.witness import SPDC_COEFFICIENTS, histogram_report
 
 _LOG2_3SQRT2E = math.log2(3.0 * math.sqrt(2.0) * math.e)
@@ -346,25 +347,56 @@ def test_two_threads_keep_the_callers_errstate(over):
     # warnings are errors in this suite, so a worker that ran under numpy's
     # default errstate would raise on "ignore" and only warn on "raise"
     big, one = np.array([1e200]), np.array([1.0])
-    with np.errstate(over=over), worker_thread("test-worker") as both:
+    names = {}
+
+    def square(who, a):
+        names[who] = threading.current_thread().name
+        return np.square(a)
+
+    with np.errstate(over=over):
         if over == "raise":
             with pytest.raises(FloatingPointError):
-                both(np.square, (big,), (one,))
+                scan._on_two_threads(square, ("worker", big), ("caller", one))
         else:
-            theirs, mine = both(np.square, (big,), (one,))
+            theirs, mine = scan._on_two_threads(square, ("worker", big), ("caller", one))
             assert np.isinf(theirs[0]) and mine[0] == 1.0
+    # the absence check of test_scan_pair_checks_its_sizes_before_any_thread
+    # looks for this prefix
+    assert names["worker"].startswith("triphoton-scan-worker")
+    assert names["caller"] == threading.current_thread().name
 
 
 def test_two_failing_threads_raise_the_callers_error():
+    names = []
+
     def fail(who):
+        names.append(threading.current_thread().name)
         raise RuntimeError(f"{who} failed")
 
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="caller failed"):
-        with worker_thread("test-worker") as both:
-            both(fail, ("worker",), ("caller",))
-    # the worker was joined before the error left the with block
+        scan._on_two_threads(fail, ("worker",), ("caller",))
+    # the worker was joined before the error left the call
     assert threading.active_count() == before
+    assert any(name.startswith("triphoton-scan-worker") for name in names)
+
+
+def test_only_scan_starts_threads():
+    # _on_two_threads is the one place a thread is started; any other module
+    # importing a threading API would be a second place
+    apis = {"threading", "concurrent", "multiprocessing", "_thread"}
+    importers = set()
+    for path in Path(scan.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in apis for m in modules):
+                importers.add(path.name)
+    assert importers == {"scan.py"}
 
 
 def test_concurrent_scan_pairs_under_fast_switching():

@@ -168,6 +168,20 @@ def test_objective_degenerate_is_minus_infinity():
     assert sampled_witness_objective(flat, ks, SPDC_COEFFICIENTS) == -math.inf
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_repeated_row_is_a_point_mass(seed):
+    # one drawn row repeated: where the column means round, the projection's
+    # std is rounding error (about 1e-16), not 0, and sd/8 bins of it score
+    # above 100 gebits (seeds 3 and 4)
+    s = TripleGaussianState(10.0, 1.0, 1.0)
+    xs = SampleSet(values=np.tile(sample_positions(s, 1, seed).values, (1000, 1)), kind="position")
+    ks = SampleSet(values=np.tile(sample_momenta(s, 1, seed).values, (1000, 1)), kind="momentum")
+    assert sampled_witness_objective(xs, ks, SPDC_COEFFICIENTS) == -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimize_coefficients(xs, ks)
+
+
 def _reference_entropy(samples, coeffs):
     """The self-scaling objective entropy written out: project, sd, floor-bin."""
     values = samples.values @ np.asarray(coeffs)
