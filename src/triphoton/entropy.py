@@ -20,11 +20,18 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _SUM_TOL = 1e-12
+# The scalar kernels below do Python-float arithmetic around numpy's logs: the
+# logs are kept, as math.log2 and math.log1p differ from them in the last bit
+# on some inputs, and each numpy scalar operation costs several times a float's.
+_LN2 = float(np.log(2.0))
+_LOG2_2PIE = float(np.log2(2.0 * np.pi * np.e))
 
 
 def _check_width(bin_width: float) -> None:
@@ -199,12 +206,13 @@ def stacked_mutual_information(p: np.ndarray) -> np.ndarray:
 
 def binary_entropy(lam: float) -> float:
     """h2(lam) = -lam log2 lam - (1-lam) log2(1-lam), for lam in [0, 1]."""
-    if not np.isfinite(lam) or not 0.0 <= lam <= 1.0:
+    if not math.isfinite(lam) or not 0.0 <= lam <= 1.0:
         raise ValueError(f"binary entropy argument must be in [0, 1], got {lam!r}")
     if lam == 0.0 or lam == 1.0:
         return 0.0
+    lam = float(lam)
     # log1p keeps the (1-lam) term accurate for very small lam
-    return float(-lam * np.log2(lam) - (1.0 - lam) * np.log1p(-lam) / np.log(2.0))
+    return -lam * float(np.log2(lam)) - (1.0 - lam) * float(np.log1p(-lam)) / _LN2
 
 
 def gaussian_differential_entropy(sigma: float) -> float:
@@ -213,13 +221,13 @@ def gaussian_differential_entropy(sigma: float) -> float:
     0.5 log2(2 pi e sigma^2), or 0.5 log2(2 pi e) + log2(sigma) where
     2 pi e sigma^2 is not a normal float (sigma outside about [4e-155, 3e153]).
     """
-    if not np.isfinite(sigma) or sigma <= 0.0:
+    if not math.isfinite(sigma) or sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     sigma = float(sigma)  # Python floats: no warning on over- or underflow
     scaled_variance = 2.0 * np.pi * np.e * sigma * sigma
-    if np.finfo(float).tiny <= scaled_variance < np.inf:
-        return float(0.5 * np.log2(scaled_variance))
-    return float(0.5 * np.log2(2.0 * np.pi * np.e) + np.log2(sigma))
+    if sys.float_info.min <= scaled_variance < math.inf:
+        return 0.5 * float(np.log2(scaled_variance))
+    return 0.5 * _LOG2_2PIE + float(np.log2(sigma))
 
 
 def differential_entropy_from_histogram(hist: Histogram1D) -> float:

@@ -45,7 +45,7 @@ class ConfigError(ValueError):
 
 
 def _check_positive(name: str, val) -> None:
-    if not np.isfinite(val) or val <= 0.0:
+    if not math.isfinite(val) or val <= 0.0:
         raise ConfigError(f"{name} must be positive and finite, got {val!r}")
 
 

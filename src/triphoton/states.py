@@ -24,6 +24,7 @@ the widths separate.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -74,7 +75,9 @@ class TripleGaussianState:
     def __post_init__(self):
         for name in ("sigma_u", "sigma_v", "sigma_w"):
             val = getattr(self, name)
-            if not np.isfinite(val) or val <= 0.0:
+            # math.isfinite: a twentieth of np.isfinite's cost on a float; an int
+            # too large for a float raises OverflowError
+            if not math.isfinite(val) or val <= 0.0:
                 raise ValueError(f"{name} must be a positive finite width, got {val!r}")
 
     @property
@@ -160,8 +163,8 @@ def exact_e3f(s: TripleGaussianState) -> float:
         q = t + np.sqrt(2.0 + 5.0 * t * t + 2.0 * t**4) / 3.0
         return float(log_rho + np.log2(q / 2.0) + 1.0 / _LN2 - t / (q * _LN2))
     rr = r * r
-    lam0 = 2.0 / (1.0 + np.sqrt(5.0 + 2.0 * (rr + 1.0 / rr)) / 3.0)
-    return float(binary_entropy(lam0) / lam0)
+    lam0 = 2.0 / (1.0 + math.sqrt(5.0 + 2.0 * (rr + 1.0 / rr)) / 3.0)  # sqrt is correctly rounded
+    return binary_entropy(lam0) / lam0
 
 
 def pair_statistics(s: TripleGaussianState) -> PairStatistics:

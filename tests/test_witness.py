@@ -241,6 +241,31 @@ def test_optimizer_returns_pinned_coefficients():
         assert best == want
 
 
+def test_guard_runs_only_when_the_search_moves(monkeypatch):
+    # the pins of test_optimizer_returns_pinned_coefficients: at ratio 10 the
+    # search keeps SPDC_COEFFICIENTS, at ratio 100 it moves eta
+    calls = []
+    objective = witness.sampled_witness_objective
+
+    def spy(*args):
+        calls.append(args[2])
+        return objective(*args)
+
+    monkeypatch.setattr(witness, "sampled_witness_objective", spy)
+    moved = WitnessCoefficients(
+        eta=(1.0, -0.5000458239535829, -0.5000458239535829), beta=(1.0, 1.0, 1.0)
+    )
+    for ratio, seed_x, seed_k, want, want_calls in (
+        (10.0, 3, 4, SPDC_COEFFICIENTS, []),
+        (100.0, 5, 6, moved, [moved, SPDC_COEFFICIENTS]),
+    ):
+        calls.clear()
+        s = TripleGaussianState(ratio, 1.0, 1.0)
+        xs, ks = sample_positions(s, 20_000, seed_x), sample_momenta(s, 20_000, seed_k)
+        assert optimize_coefficients(xs, ks) == want
+        assert calls == want_calls
+
+
 def _traced_memory(fn) -> tuple[int, int]:
     """(current, peak) bytes traced over fn(), with the cyclic collector off."""
     gc.disable()
@@ -262,6 +287,15 @@ def test_coefficient_search_allocates_no_sample_sized_arrays():
     assert peak < 3 * column
     # nothing the search allocates outlives the call
     assert current < column / 8
+
+
+def test_covariance_allocates_less_than_one_column():
+    # one chunk-sized buffer, no n-row temporary: np.ones(n) @ values alone
+    # would take a column
+    n = 50_000
+    xs = sample_positions(TripleGaussianState(10.0, 1.0, 1.0), n, 7)
+    _, peak = _traced_memory(lambda: witness._covariance(xs))
+    assert peak < n * 8
 
 
 def test_sampled_witness_memory_is_linear_in_samples_at_fine_bins():
