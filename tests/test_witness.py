@@ -585,6 +585,41 @@ def test_correlation_relation_matches_one_trial_at_a_time(monkeypatch):
     assert [verify_correlation_relation(*case) for case in small] == whole
 
 
+def _ginibre(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _unitarity_error(u):
+    eye = np.eye(u.shape[-1])
+    return float(np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max())
+
+
+def test_haar_unitaries_equal_phase_fixed_qr():
+    for dim in range(2, 9):
+        g = _ginibre(np.random.default_rng(100 + dim), (300, 2, dim, dim))
+        u = witness._haar_unitaries(g)
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.abs(u - q * (diag / np.abs(diag))[..., None, :]).max() <= 1e-12, dim
+        assert _unitarity_error(u) <= 1e-14, dim
+
+
+def test_haar_unitaries_stay_unitary_on_nearly_dependent_columns():
+    # condition number about 1e10: one Gram-Schmidt pass loses about 1e-5 of
+    # orthogonality here, the second pass restores it
+    for dim in range(2, 9):
+        rng = np.random.default_rng(200 + dim)
+        g = _ginibre(rng, (300, 2, dim, dim))
+        g[..., 1] = g[..., 0] + 1e-10 * _ginibre(rng, (300, 2, dim))
+        assert _unitarity_error(witness._haar_unitaries(g)) <= 1e-14, dim
+
+
+def test_correlation_check_memory_is_bounded_by_one_block():
+    verify_correlation_relation(8, 1024, 0)  # lazy set-up stays out of the peak
+    _, peak = _traced_memory(lambda: verify_correlation_relation(8, 1024, 0))
+    assert peak < 12e6
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dim=st.integers(2, 8),
