@@ -180,7 +180,14 @@ def triphoton_momentum_amplitude(c: SpdcConfig, ku, kv, kw):
 
 
 def _fit_widths(sigma_p: float, a: float) -> TripleGaussianState:
-    sigma_ku = 1.0 / (2.0 * math.sqrt(32.0 * a / 9.0 + 3.0 * sigma_p**2))
+    try:
+        root = math.sqrt(32.0 * a / 9.0 + 3.0 * sigma_p**2)
+    except OverflowError:  # sigma_p**2 overflows
+        root = math.inf
+    if math.isinf(root):  # sigma_p taken out of the root, no square overflows
+        sigma_ku = 0.5 / sigma_p / math.sqrt(3.0 + 32.0 * a / 9.0 / sigma_p / sigma_p)
+    else:
+        sigma_ku = 1.0 / (2.0 * root)
     sigma_kv = 3.0 / math.sqrt(32.0 * a)
     return TripleGaussianState(sigma_u=sigma_ku, sigma_v=sigma_kv, sigma_w=sigma_kv)
 
@@ -195,7 +202,10 @@ def gaussian_fit_widths(c: SpdcConfig) -> TripleGaussianState:
 
 
 def _witness_gebits(sigma_p: float, k_p: float, L_z: float) -> float:
-    corr = 18.0 * sigma_p**2 * k_p / L_z
+    try:
+        corr = 18.0 * sigma_p**2 * k_p / L_z
+    except OverflowError:  # sigma_p**2 overflows
+        corr = math.inf
     if math.isinf(corr):  # the product overflows; its log does not
         log2_corr = math.log2(18.0) + 2.0 * math.log2(sigma_p) + math.log2(k_p) - math.log2(L_z)
         return float(0.5 * np.logaddexp2(4.0, log2_corr) - _LOG2_3SQRT2E)
@@ -244,7 +254,7 @@ def triplet_rate(c: SpdcConfig) -> float:
     index_factor = (c.ng_1 * c.ng_2 * c.ng_3 * c.ng_p) / (
         c.n_p**2 * c.n_1**2 * c.n_2**2 * c.n_3**2
     )
-    return float(
+    numerator = (
         prefactor
         * index_factor
         * c.chi3_eff**2
@@ -252,8 +262,11 @@ def triplet_rate(c: SpdcConfig) -> float:
         / abs(c.kappa0)
         * c.pump_power
         * c.L_z
-        / c.sigma_p**4
     )
+    try:
+        return float(numerator / c.sigma_p**4)
+    except OverflowError:  # sigma_p**4 overflows; one division at a time does not
+        return float(numerator / c.sigma_p / c.sigma_p / c.sigma_p / c.sigma_p)
 
 
 def qpm_penalty(order: int) -> float:

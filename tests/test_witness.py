@@ -614,6 +614,61 @@ def test_haar_unitaries_stay_unitary_on_nearly_dependent_columns():
         assert _unitarity_error(witness._haar_unitaries(g)) <= 1e-14, dim
 
 
+def _entropy_by_eigvalsh(m):
+    evals = np.clip(np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2)), 0.0, 1.0)
+    log2 = np.log2(evals, out=np.zeros_like(evals), where=evals > 1e-16)
+    return -(evals * log2).sum(axis=-1)
+
+
+def _schmidt_stack(rng, weights):
+    """500 matrices U_A diag(sqrt(w)) U_B^T, Haar U_A and U_B, w the weights normalised:
+    the spectrum of each m m† is w."""
+    w = np.asarray(weights) / sum(weights)
+    u = witness._haar_unitaries(_ginibre(rng, (500, 2, len(w), len(w))))
+    return u[:, 0] * np.sqrt(w) @ u[:, 1].swapaxes(-1, -2), w
+
+
+_SCHMIDT_WEIGHTS = {
+    "product": (1.0, 0.0, 0.0),
+    "identity": (1.0, 1.0, 1.0),
+    "rank 2": (1.0, 0.5, 0.0),
+    "equal top": (1.0, 1.0, 0.3),
+    "equal bottom": (1.0, 0.3, 0.3),
+    "near rank 1": (1.0, 1e-7, 1e-9),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("case", list(_SCHMIDT_WEIGHTS))
+def test_closed_form_entropies_match_eigvalsh(dim, case):
+    # at dim 2 the weights are cut to their first two
+    m, w = _schmidt_stack(np.random.default_rng(300 + dim), _SCHMIDT_WEIGHTS[case][:dim])
+    # the same spectra with no rounding in m: p = 0 exactly at I/d
+    exact = np.diag(np.sqrt(w)).astype(complex)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack in (m, exact):
+            got = witness._vn_entropies_bits(stack)
+            assert np.abs(got - _entropy_by_eigvalsh(stack)).max() <= 1e-12, case
+
+
+def test_closed_form_entropies_match_eigvalsh_on_random_states():
+    for dim in (2, 3):
+        m = _ginibre(np.random.default_rng(400 + dim), (2000, dim, dim))
+        m /= np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1), keepdims=True))
+        diff = witness._vn_entropies_bits(m) - _entropy_by_eigvalsh(m)
+        assert np.abs(diff).max() <= 1e-12, dim
+
+
+def test_closed_form_spectra_keep_small_eigenvalues_relative_precision():
+    # t minus the large root would give the 1e-12 eigenvalue to about 1e-4
+    rng = np.random.default_rng(500)
+    for weights in ((1.0, 1e-12), (1.0, 1.0, 1e-12)):
+        m, w = _schmidt_stack(rng, weights)
+        smallest = witness._closed_form_spectra(m)[:, 0]
+        assert np.abs(smallest / w[-1] - 1.0).max() <= 1e-8, weights
+
+
 def test_correlation_check_memory_is_bounded_by_one_block():
     verify_correlation_relation(8, 1024, 0)  # lazy set-up stays out of the peak
     _, peak = _traced_memory(lambda: verify_correlation_relation(8, 1024, 0))
