@@ -24,6 +24,7 @@ Geometry and conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -264,9 +265,16 @@ def triplet_rate(c: SpdcConfig) -> float:
         * c.L_z
     )
     try:
-        return float(numerator / c.sigma_p**4)
-    except OverflowError:  # sigma_p**4 overflows; one division at a time does not
-        return float(numerator / c.sigma_p / c.sigma_p / c.sigma_p / c.sigma_p)
+        sigma_p4 = c.sigma_p**4
+    except OverflowError:
+        sigma_p4 = math.inf
+    if sys.float_info.min <= sigma_p4 < math.inf:
+        rate = numerator / sigma_p4
+    else:  # sigma_p**4 is subnormal, 0 or overflows; four divisions by sigma_p keep every digit
+        rate = numerator / c.sigma_p / c.sigma_p / c.sigma_p / c.sigma_p
+    if math.isinf(rate):
+        raise OverflowError(f"triplet rate overflows the float range at sigma_p = {c.sigma_p!r}")
+    return float(rate)
 
 
 def qpm_penalty(order: int) -> float:

@@ -422,7 +422,7 @@ class CorrelationCheckReport:
     max_mutual_information_bits: float
 
 
-# Trials per stacked block. One block at dim 8 peaks at about 10.2 MB of
+# Trials per stacked block. One block at dim 8 peaks at about 4.9 MB of
 # arrays (tracemalloc), and memory stays at that however many trials are
 # asked for.
 _TRIAL_BLOCK = 1024
@@ -431,33 +431,6 @@ _TRIAL_BLOCK = 1024
 def _abs2(z: np.ndarray) -> np.ndarray:
     """|z|**2 elementwise, with no square root taken."""
     return z.real * z.real + z.imag * z.imag
-
-
-def _haar_unitaries(g: np.ndarray) -> np.ndarray:
-    """Haar-random unitaries from an (n, 2, d, d) stack of complex Ginibre matrices g.
-
-    The Q of g = QR with diag(R) real and positive, which is Haar distributed
-    (Mezzadri, Notices AMS 54, 592 (2007)).  A QR factorisation of an
-    invertible matrix with a positive diagonal R is unique, so Gram-Schmidt,
-    whose column norms are R's diagonal, gives the same Q as numpy's QR with
-    its phases fixed.  Each column is orthogonalised twice, which keeps Q
-    unitary to machine precision ("twice is enough": Giraud, Langou &
-    Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).
-
-    The work runs on a (2, column, row, n) copy, so every operation walks
-    contiguous rows of n trials, and each sum runs over the row axis alone: a
-    trial's result does not depend on how many trials share the stack.
-    """
-    a = np.moveaxis(g, 0, -1).swapaxes(-3, -2).copy()
-    for j in range(a.shape[1]):
-        v = a[:, j]
-        for _ in range(2):
-            for i in range(j):
-                q_i = a[:, i]
-                c = (q_i.conj() * v).sum(axis=1)
-                v -= q_i * c[:, None]
-        v /= np.sqrt(_abs2(v).sum(axis=1))[:, None]
-    return np.moveaxis(a.swapaxes(-3, -2), -1, 0)
 
 
 def _quadratic_roots(s: np.ndarray, prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -538,47 +511,31 @@ def _vn_entropies_bits(m: np.ndarray) -> np.ndarray:
     return -(evals * log2).sum(axis=-1)
 
 
-def _correlation_block(z: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E_F, I(Q_A:Q_B)) per trial, bits, from normals z of shape (n, 6, dim*dim)."""
-    psi = z[:, 0] + 1j * z[:, 1]
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    m = psi.reshape(-1, dim, dim)
-    ent_formation = _vn_entropies_bits(m)  # = S(A) = S(B), S(AB) = 0
-    u = _haar_unitaries((z[:, 2::2] + 1j * z[:, 3::2]).reshape(-1, 2, dim, dim))
-    u_a, u_b = u[:, 0], u[:, 1]
-    amps = u_a.conj().swapaxes(-1, -2) @ m @ u_b.conj()
-    # unitary bases keep each PMF's sum at |psi|^2 = 1 up to rounding
-    return ent_formation, stacked_mutual_information(np.abs(amps) ** 2)
-
-
 def verify_correlation_relation(dim: int, trials: int, seed: int) -> CorrelationCheckReport:
     """Check H(Q_A:Q_B) <= E_F + min(S(AB), S(A), S(B)) on random pure states.
 
-    Random bipartite pure states of local dimension dim (normalized complex
-    Gaussian vectors) measured in independent Haar-random product bases
-    (_haar_unitaries: Gram-Schmidt on complex Ginibre matrices).  For pure
+    Random bipartite pure states psi of local dimension dim (normalized
+    complex Gaussian vectors) measured in the computational basis.  For pure
     states E_F equals the reduced von Neumann entropy and S(AB) = 0, so the
     bound reads: measured mutual information never exceeds the entanglement
     entropy.  Returns the maximum violation over trials (<= 0 up to float
     round-off when the relation holds).
 
-    E_F is the entropy of the spectrum of m m†, m the state's dim x dim
-    coefficient matrix and t = tr m m† (_vn_entropies_bits).  At dim 2 the
-    spectrum is the roots of x**2 - t x + |det m|**2.  At dim 3 the largest
-    eigenvalue lambda_1 comes from Smith's trigonometric formula and the
-    other two are the roots of x**2 - (t - lambda_1) x + |det m|**2/lambda_1.
-    Each small root is 2 prod/(s + sqrt(s**2 - 4 prod)), taken from the
-    product, since s minus the large root keeps only the large root's
-    absolute precision and would lose a near-zero eigenvalue's digits.  The
-    formulas lose digits only where eigenvalues cluster, and there the
-    entropy is stationary, so its error stays near 1e-16 bits.  dim >= 4
-    uses eigvalsh.
+    The computational basis loses nothing against random product bases.
+    psi is Haar-uniform on the unit sphere of C^(dim*dim).  Measuring it in
+    a product basis U_A (x) U_B gives the outcome PMF of (U_A (x) U_B)† psi
+    in the computational basis, and for any fixed U_A and U_B that state is
+    again Haar-uniform and has the same E_F, since a local unitary keeps the
+    Schmidt spectrum.  So the pair (E_F, I) has the same distribution here
+    as in product bases drawn at random, independently of psi.
+
+    With m the state's dim x dim coefficient matrix, E_F is the entropy of
+    the spectrum of m m† (_vn_entropies_bits) and the measured PMF is |m|**2.
 
     Trials run as stacked blocks of at most _TRIAL_BLOCK.  Each trial takes
-    6*dim*dim normals from one generator seeded with seed (real then
-    imaginary parts of the state, of U_A and of U_B), so the blocks draw the
-    same stream as one trial at a time would, and the results do not depend
-    on the block size.
+    2*dim*dim normals from one generator seeded with seed (real then
+    imaginary parts of psi), so the blocks draw the same stream as one trial
+    at a time would, and the results do not depend on the block size.
     """
     if dim < 2:
         raise ValueError(f"local dimension must be >= 2, got {dim}")
@@ -588,8 +545,12 @@ def verify_correlation_relation(dim: int, trials: int, seed: int) -> Correlation
     max_violation = -math.inf
     max_mi = 0.0
     for start in range(0, trials, _TRIAL_BLOCK):
-        n = min(_TRIAL_BLOCK, trials - start)
-        ent_formation, mi = _correlation_block(rng.standard_normal((n, 6, dim * dim)), dim)
+        z = rng.standard_normal((min(_TRIAL_BLOCK, trials - start), 2, dim * dim))
+        psi = z[:, 0] + 1j * z[:, 1]
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        m = psi.reshape(-1, dim, dim)
+        ent_formation = _vn_entropies_bits(m)  # = S(A) = S(B), S(AB) = 0
+        mi = stacked_mutual_information(_abs2(m))  # each PMF sums to |psi|**2 = 1 up to rounding
         max_mi = max(max_mi, float(mi.max()))
         max_violation = max(max_violation, float((mi - ent_formation).max()))
     return CorrelationCheckReport(

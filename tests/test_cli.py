@@ -194,6 +194,16 @@ def test_rate_stays_finite_for_a_wide_pump(capsys, tmp_path):
         assert json.loads(out)["triplets_per_second"] == 0.0, width
 
 
+def test_rate_overflow_for_a_narrow_pump_is_a_domain_error(capsys, tmp_path):
+    narrow = tmp_path / "narrow_pump.cfg"
+    text = FUSED.read_text()
+    assert "sigma_p    = 1.443375673e-6" in text
+    narrow.write_text(text.replace("sigma_p    = 1.443375673e-6", "sigma_p    = 1e-300"))
+    code, out, err = _run(capsys, ["rate", "--config", str(narrow)])
+    assert code == 1 and out == ""
+    assert "triplet rate overflows the float range at sigma_p = 1e-300" in err
+
+
 def test_rate_reference_configuration(capsys):
     code, out, _ = _run(capsys, ["rate", "--config", str(FUSED)])
     assert code == 0

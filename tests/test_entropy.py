@@ -189,6 +189,8 @@ def test_pmf_validation():
         DiscretePMF([np.nan, 1.0], (2,))
     with pytest.raises(ValueError, match=r"axis cardinalities must be >= 1, got \(2, 0\)"):
         DiscretePMF([], (2, 0))
+    # an axis with a single outcome is allowed
+    assert DiscretePMF(np.full(4, 0.25), (2, 1, 2)).shape == (2, 1, 2)
 
 
 def test_marginal_validation():

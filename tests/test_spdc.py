@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import MISSING, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,16 @@ def test_rate_scalings():
     assert triplet_rate(replace(cfg, kappa0=-cfg.kappa0)) == pytest.approx(base, rel=1e-15)
 
 
+def test_rate_keeps_full_precision_where_sigma_p4_is_subnormal():
+    # sigma_p**4 is subnormal below about 1.2e-77 and rounds to 0 below
+    # about 1.3e-81; the rate scales as sigma_p**-4 from the reference width
+    cfg = load_config(FUSED)
+    base = triplet_rate(cfg)
+    for width in (1e-79, 3e-81):
+        want = float(Fraction(base) * (Fraction(cfg.sigma_p) / Fraction(width)) ** 4)
+        assert triplet_rate(replace(cfg, sigma_p=width)) == pytest.approx(want, rel=1e-14), width
+
+
 def test_witness_sweep_monotone_and_conservative():
     cfg = load_config(FIG1)
     rows = witness_sweep(cfg, np.geomspace(1e-6, 1e-2, 50))
@@ -337,6 +348,13 @@ def test_witness_sweep_monotone_and_conservative():
         with pytest.raises(ConfigError) as swept:
             witness_sweep(cfg, bad)
         assert str(swept.value) == str(per_point.value)
+
+
+def test_witness_sweep_overflow_branch_runs_parallel_to_exact():
+    # 18 sigma_p**2 k_p / L_z overflows above about 1e154; the witness keeps
+    # its wide-pump offset 1 - 2/ln 2 to the exact value there
+    for sp, wit, exact in witness_sweep(load_config(FIG1), [1e200, 1e300]):
+        assert abs(wit - exact + (2.0 / math.log(2.0) - 1.0)) <= 1e-9, sp
 
 
 def test_witness_sweep_rows_equal_per_point_config_rows():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from triphoton import witness
 from triphoton.entropy import (
@@ -19,6 +20,7 @@ from triphoton.entropy import (
     differential_entropy_from_histogram,
     gaussian_differential_entropy,
     shannon_entropy,
+    stacked_mutual_information,
 )
 from triphoton.states import (
     SampleSet,
@@ -531,6 +533,51 @@ def test_discrete_witness_input_validation():
         DiscreteWitnessInput(pmf_q=u2, pmf_r=u2, omegas=(0.5, 1.0, 1.0))
     with pytest.raises(ValueError, match="need one omega per party"):
         DiscreteWitnessInput(pmf_q=u2, pmf_r=u2, omegas=(1.0, 1.0))
+    # each omega in [1, D_i], with 1e-9 of slack at D_i
+    u234 = DiscretePMF(np.full(24, 1.0 / 24.0), (2, 3, 4))
+    for omegas in ((1.0, 1.2, 4.0), (2.0 + 1e-9, 3.0, 4.0 + 1e-9)):
+        assert DiscreteWitnessInput(pmf_q=u234, pmf_r=u234, omegas=omegas).omegas == omegas
+
+
+def _dft_basis_inputs(states, d):
+    """Witness input for the equal mixture of pure three-party states, each a
+    (d, d, d) amplitude array: Q in the computational basis and R in the
+    unitary DFT basis at every party (mutually unbiased, so omega = d)."""
+    k = np.arange(d)
+    f = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+    q = sum(np.abs(psi) ** 2 for psi in states) / len(states)
+    r = sum(
+        np.abs(np.einsum("ai,bj,ck,abc->ijk", f.conj(), f.conj(), f.conj(), psi)) ** 2
+        for psi in states
+    ) / len(states)
+    return DiscreteWitnessInput(
+        pmf_q=DiscretePMF(q.ravel(), q.shape),
+        pmf_r=DiscretePMF(r.ravel(), r.shape),
+        omegas=(float(d),) * 3,
+    )
+
+
+def _bell_pair_times_basis_state(d, lone):
+    """A maximally entangled pair on the two parties other than lone, lone in |0>."""
+    psi = np.zeros((d, d, d), dtype=complex)
+    for a in range(d):
+        index = [a, a, a]
+        index[lone] = 0
+        psi[tuple(index)] = 1.0 / np.sqrt(d)
+    return psi
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_discrete_witness_is_tight_on_biseparable_and_ghz_states(d):
+    # a biseparable pure state reaches the bound 0; GHZ_d reaches log2 d
+    for lone in range(3):
+        inp = _dft_basis_inputs([_bell_pair_times_basis_state(d, lone)], d)
+        assert abs(discrete_witness(inp)) <= 1e-12, lone
+    ghz = np.zeros((d, d, d), dtype=complex)
+    ghz[k := np.arange(d), k, k] = 1.0 / np.sqrt(d)
+    assert abs(discrete_witness(_dft_basis_inputs([ghz], d)) - math.log2(d)) <= 1e-12
+    cuts = [_bell_pair_times_basis_state(d, lone) for lone in range(3)]
+    assert discrete_witness(_dft_basis_inputs(cuts, d)) < 0.0
 
 
 def test_correlation_relation_bell_dimension():
@@ -543,12 +590,6 @@ def test_correlation_relation_bell_dimension():
 
 def _correlation_relation_one_trial_at_a_time(dim, trials, seed):
     """Reference: (max violation, max mutual information), one state per step."""
-
-    def haar_unitary(rng):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(g)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
     rng = np.random.default_rng(seed)
     max_violation, max_mi = -math.inf, 0.0
     for _ in range(trials):
@@ -558,8 +599,7 @@ def _correlation_relation_one_trial_at_a_time(dim, trials, seed):
         evals = np.clip(np.linalg.eigvalsh(m @ m.conj().T).real, 0.0, 1.0)
         nz = evals[evals > 1e-16]
         ent_formation = float(-(nz * np.log2(nz)).sum())
-        u_a, u_b = haar_unitary(rng), haar_unitary(rng)
-        p = np.abs(u_a.conj().T @ m @ u_b.conj()) ** 2
+        p = np.abs(m) ** 2  # measured in the computational basis
         pmf = DiscretePMF((p / p.sum()).ravel(), (dim, dim))
         mi = (
             shannon_entropy(pmf.marginal((0,)))
@@ -589,29 +629,13 @@ def _ginibre(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _unitarity_error(u):
-    eye = np.eye(u.shape[-1])
-    return float(np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max())
-
-
-def test_haar_unitaries_equal_phase_fixed_qr():
-    for dim in range(2, 9):
-        g = _ginibre(np.random.default_rng(100 + dim), (300, 2, dim, dim))
-        u = witness._haar_unitaries(g)
-        q, r = np.linalg.qr(g)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        assert np.abs(u - q * (diag / np.abs(diag))[..., None, :]).max() <= 1e-12, dim
-        assert _unitarity_error(u) <= 1e-14, dim
-
-
-def test_haar_unitaries_stay_unitary_on_nearly_dependent_columns():
-    # condition number about 1e10: one Gram-Schmidt pass loses about 1e-5 of
-    # orthogonality here, the second pass restores it
-    for dim in range(2, 9):
-        rng = np.random.default_rng(200 + dim)
-        g = _ginibre(rng, (300, 2, dim, dim))
-        g[..., 1] = g[..., 0] + 1e-10 * _ginibre(rng, (300, 2, dim))
-        assert _unitarity_error(witness._haar_unitaries(g)) <= 1e-14, dim
+def _haar(rng, shape):
+    """Haar-random unitaries, a stack of the given (..., d, d) shape: the Q of
+    a complex Ginibre matrix with R's diagonal made positive (Mezzadri,
+    Notices AMS 54, 592 (2007))."""
+    q, r = np.linalg.qr(_ginibre(rng, shape))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def _entropy_by_eigvalsh(m):
@@ -624,7 +648,7 @@ def _schmidt_stack(rng, weights):
     """500 matrices U_A diag(sqrt(w)) U_B^T, Haar U_A and U_B, w the weights normalised:
     the spectrum of each m m† is w."""
     w = np.asarray(weights) / sum(weights)
-    u = witness._haar_unitaries(_ginibre(rng, (500, 2, len(w), len(w))))
+    u = _haar(rng, (500, 2, len(w), len(w)))
     return u[:, 0] * np.sqrt(w) @ u[:, 1].swapaxes(-1, -2), w
 
 
@@ -669,10 +693,47 @@ def test_closed_form_spectra_keep_small_eigenvalues_relative_precision():
         assert np.abs(smallest / w[-1] - 1.0).max() <= 1e-8, weights
 
 
+def _haar_basis_trials(dim, trials, seed):
+    """(E_F, I) per trial of random pure states measured in Haar-random product bases."""
+    rng = np.random.default_rng(seed)
+    m = _ginibre(rng, (trials, dim, dim))
+    m /= np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1), keepdims=True))
+    u = _haar(rng, (trials, 2, dim, dim))
+    amps = u[:, 0].conj().swapaxes(-1, -2) @ m @ u[:, 1].conj()
+    return _entropy_by_eigvalsh(m), stacked_mutual_information(np.abs(amps) ** 2)
+
+
+def test_correlation_check_matches_haar_bases_in_distribution(monkeypatch):
+    # the check measures in the computational basis; (E_F, I) must be
+    # distributed as in random product bases (verify_correlation_relation)
+    recorded = {}
+
+    def record(name):
+        fn = getattr(witness, name)
+
+        def wrapper(arg):
+            recorded.setdefault(name, []).append(out := fn(arg))
+            return out
+
+        monkeypatch.setattr(witness, name, wrapper)
+
+    record("_vn_entropies_bits")
+    record("stacked_mutual_information")
+    for dim in (2, 3, 4):
+        recorded.clear()
+        verify_correlation_relation(dim, 5000, dim)
+        ent = np.concatenate(recorded["_vn_entropies_bits"])
+        mi = np.concatenate(recorded["stacked_mutual_information"])
+        assert ent.shape == mi.shape == (5000,)
+        ref_ent, ref_mi = _haar_basis_trials(dim, 5000, 100 + dim)
+        assert ks_2samp(mi, ref_mi).pvalue > 0.01, dim
+        assert ks_2samp(mi - ent, ref_mi - ref_ent).pvalue > 0.01, dim
+
+
 def test_correlation_check_memory_is_bounded_by_one_block():
     verify_correlation_relation(8, 1024, 0)  # lazy set-up stays out of the peak
     _, peak = _traced_memory(lambda: verify_correlation_relation(8, 1024, 0))
-    assert peak < 12e6
+    assert peak < 6e6
 
 
 @settings(max_examples=40, deadline=None)
