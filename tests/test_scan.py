@@ -27,7 +27,6 @@ from triphoton.scan import (
     PartitionTree,
     _build_tree,
     _cell_codes,
-    _projections,
     default_threshold,
     export_pair,
     scan_pair,
@@ -43,7 +42,7 @@ from triphoton.states import (
     sample_positions,
     to_momentum,
 )
-from triphoton.witness import SPDC_COEFFICIENTS, histogram_report
+from triphoton.witness import SPDC_COEFFICIENTS, WitnessCoefficients, histogram_report
 
 _LOG2_3SQRT2E = math.log2(3.0 * math.sqrt(2.0) * math.e)
 
@@ -399,6 +398,23 @@ def test_only_scan_starts_threads():
     assert importers == {"scan.py"}
 
 
+def test_private_imports_across_modules_are_pinned():
+    # every relative `from .mod import _name` in the package, dunders aside.
+    # scan imports states._draw because the benchmark's tracer patches
+    # scan._draw to time states.sample_s; it stays until the draw is hooked
+    # elsewhere in bench/
+    imports = set()
+    for path in Path(scan.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imports |= {
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                }
+    assert imports == {("scan", "states", "_draw")}
+
+
 def test_concurrent_scan_pairs_under_fast_switching():
     # four scan_pair calls at once start eight threads on fewer cores; a
     # buffer handed to both bases of a call, or state shared between calls,
@@ -498,24 +514,72 @@ def _occupied(tree):
 _ROUGH_CVEC = np.array([0.8173, -0.3391, -0.4782])
 
 
+_ROUGH_COEFFICIENTS = WitnessCoefficients(eta=tuple(_ROUGH_CVEC), beta=tuple(_ROUGH_CVEC))
+
+
+class _OfSpy:
+    """Stands in for scan's Histogram1D and keeps the values each `of` bins."""
+
+    def __init__(self):
+        self.values = []
+
+    def of(self, values, *args, **kwargs):
+        self.values.append(values.copy())
+        return Histogram1D.of(values, *args, **kwargs)
+
+
+def _assert_collapse_is_whole_array(monkeypatch, tree):
+    # the blockwise collapse must bin exactly the projections of a whole-array
+    # decode, at the width and m of the shallowest depth d whose leaves, with
+    # all shallower ones, hold over 1% of the counts
+    occupied = _occupied(tree)
+    counts = tree.counts[occupied]
+    by_depth = np.argsort(tree.depths[occupied], kind="stable")
+    over = np.cumsum(counts[by_depth]) > 0.01 * tree.total_count
+    depth = int(tree.depths[occupied][by_depth][over][0])
+    spy = _OfSpy()
+    monkeypatch.setattr(scan, "Histogram1D", spy)
+    for coeffs in (SPDC_COEFFICIENTS, _ROUGH_COEFFICIENTS):
+        cvec = np.asarray(coeffs.eta if tree.basis == "position" else coeffs.beta)
+        values = _stack_decode(tree, occupied)[0] @ cvec
+        width = float(np.abs(cvec).sum() * tree.cell_side(depth))
+        want = Histogram1D.of(values, width, weights=counts, support_bins=2**depth + 1)
+        got = tree_to_linear_histograms(tree, coeffs)
+        assert spy.values.pop().tobytes() == values.tobytes()
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert got.bin_width.hex() == want.bin_width.hex()
+        assert got.support_bins == want.support_bins
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_blockwise_projection_equals_whole_array(monkeypatch, offset):
     # m occupied leaves against a block of m - offset: m is B + offset
     tree = simulate_adaptive_scan(TripleGaussianState(8.0, 1.0, 1.0), "position", 30_000, 16, 9, 5)
-    occupied = _occupied(tree)
-    monkeypatch.setattr(scan, "_LEAF_BLOCK", occupied.size - offset)
-    for cvec in (np.asarray(SPDC_COEFFICIENTS.eta), _ROUGH_CVEC):
-        want = _stack_decode(tree, occupied)[0] @ cvec
-        assert _projections(tree, occupied, cvec).tobytes() == want.tobytes()
+    monkeypatch.setattr(scan, "_LEAF_BLOCK", _occupied(tree).size - offset)
+    _assert_collapse_is_whole_array(monkeypatch, tree)
 
 
-def test_blockwise_projection_on_threshold_one_tree():
+def test_blockwise_projection_on_threshold_one_tree(monkeypatch):
     tree = _threshold_one_tree(3 * _LEAF_BLOCK + 100, "momentum")
-    occupied = _occupied(tree)
-    assert occupied.size > 3 * _LEAF_BLOCK  # every sample has a leaf of its own
-    for cvec in (np.asarray(SPDC_COEFFICIENTS.beta), _ROUGH_CVEC):
-        want = _stack_decode(tree, occupied)[0] @ cvec
-        assert _projections(tree, occupied, cvec).tobytes() == want.tobytes()
+    assert _occupied(tree).size > 3 * _LEAF_BLOCK  # every sample has a leaf of its own
+    _assert_collapse_is_whole_array(monkeypatch, tree)
+
+
+def test_collapse_ignores_leaf_storage_order():
+    # the bin depth comes from the per-depth masses, so a tree whose leaves are
+    # not stored depth by depth collapses the same; so does its export
+    tree_x, tree_k, _ = scan_pair(TripleGaussianState(100.0, 1.0, 1.0), n_samples=1_000_000, seed=0)
+    for tree in (tree_x, tree_k):
+        flipped = dataclasses.replace(
+            tree, **{name: getattr(tree, name)[::-1].copy() for name in ("depths", "codes", "counts")}
+        )
+        want = tree_to_linear_histograms(tree, SPDC_COEFFICIENTS)
+        got = tree_to_linear_histograms(flipped, SPDC_COEFFICIENTS)
+        assert (got.bin_width, got.support_bins) == (want.bin_width, want.support_bins)
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert flipped.record_bytes() == tree.record_bytes()
+    # a running sum over the flipped leaves would start at the deepest ones
+    assert tree_to_linear_histograms(tree_k, SPDC_COEFFICIENTS).bin_width == 0.5625
 
 
 def test_cell_codes_box_faces():

@@ -539,17 +539,20 @@ def test_discrete_witness_input_validation():
         assert DiscreteWitnessInput(pmf_q=u234, pmf_r=u234, omegas=omegas).omegas == omegas
 
 
-def _dft_basis_inputs(states, d):
-    """Witness input for the equal mixture of pure three-party states, each a
-    (d, d, d) amplitude array: Q in the computational basis and R in the
-    unitary DFT basis at every party (mutually unbiased, so omega = d)."""
+def _dft_basis_inputs(states, d, weights=None):
+    """Witness input for the mixture of pure three-party states, each a
+    (d, d, d) amplitude array, with the given weights (equal by default):
+    Q in the computational basis and R in the unitary DFT basis at every
+    party (mutually unbiased, so omega = d)."""
+    if weights is None:
+        weights = [1.0 / len(states)] * len(states)
     k = np.arange(d)
     f = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
-    q = sum(np.abs(psi) ** 2 for psi in states) / len(states)
+    q = sum(w * np.abs(psi) ** 2 for w, psi in zip(weights, states))
     r = sum(
-        np.abs(np.einsum("ai,bj,ck,abc->ijk", f.conj(), f.conj(), f.conj(), psi)) ** 2
-        for psi in states
-    ) / len(states)
+        w * np.abs(np.einsum("ai,bj,ck,abc->ijk", f.conj(), f.conj(), f.conj(), psi)) ** 2
+        for w, psi in zip(weights, states)
+    )
     return DiscreteWitnessInput(
         pmf_q=DiscretePMF(q.ravel(), q.shape),
         pmf_r=DiscretePMF(r.ravel(), r.shape),
@@ -557,13 +560,14 @@ def _dft_basis_inputs(states, d):
     )
 
 
-def _bell_pair_times_basis_state(d, lone):
-    """A maximally entangled pair on the two parties other than lone, lone in |0>."""
+def _bell_pair_times_basis_state(d, lone, state=0, phases=None):
+    """sum_a e^{i phases[a]} |aa>/sqrt(d) on the two parties other than lone
+    (phases 0 by default), times |state> on lone."""
     psi = np.zeros((d, d, d), dtype=complex)
     for a in range(d):
         index = [a, a, a]
-        index[lone] = 0
-        psi[tuple(index)] = 1.0 / np.sqrt(d)
+        index[lone] = state
+        psi[tuple(index)] = (1.0 if phases is None else np.exp(1j * phases[a])) / np.sqrt(d)
     return psi
 
 
@@ -578,6 +582,40 @@ def test_discrete_witness_is_tight_on_biseparable_and_ghz_states(d):
     assert abs(discrete_witness(_dft_basis_inputs([ghz], d)) - math.log2(d)) <= 1e-12
     cuts = [_bell_pair_times_basis_state(d, lone) for lone in range(3)]
     assert discrete_witness(_dft_basis_inputs(cuts, d)) < 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    terms=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 3), st.booleans(), st.floats(0.01, 1.0)),
+        min_size=1,
+        max_size=3,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_discrete_witness_never_certifies_a_biseparable_mixture(d, terms, seed):
+    # each term a Bell pair, with zero or random phases, across a random cut
+    # times a random basis state on the lone party; the bound is tight at 0
+    rng = np.random.default_rng(seed)
+    states = [
+        _bell_pair_times_basis_state(d, lone, state % d, rng.uniform(0, 2 * np.pi, d) if phased else None)
+        for lone, state, phased, _ in terms
+    ]
+    weights = np.array([w for *_, w in terms])
+    assert discrete_witness(_dft_basis_inputs(states, d, weights / weights.sum())) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_discrete_witness_never_exceeds_a_generalized_ghz_entanglement(d, seed):
+    # sum_n sqrt(lambda_n) |nnn> holds H(lambda) gebits, reached at uniform lambda
+    lam = np.random.default_rng(seed).dirichlet(np.ones(d))
+    ghz = np.zeros((d, d, d), dtype=complex)
+    ghz[k := np.arange(d), k, k] = np.sqrt(lam)
+    nz = lam[lam > 0]
+    entropy = float(-(nz * np.log2(nz)).sum())
+    assert discrete_witness(_dft_basis_inputs([ghz], d)) <= entropy + 1e-12
 
 
 def test_correlation_relation_bell_dimension():
