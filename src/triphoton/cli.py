@@ -8,7 +8,7 @@ Subcommands:
   simulate  adaptive coincidence-scan simulation and witness report
   validate  numerical check of the correlation-entanglement inequality
 
-Exit codes: 0 success, 1 computation/domain error, 2 input or config error.
+Exit codes: 0 success, 1 computation/domain error or out of memory, 2 input or config error.
 All RNG-bearing commands are reproducible from --seed; file outputs are
 written atomically (temp file then rename).
 """
@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,13 +59,13 @@ _COARSE_MASS_EXCLUDED = 0.01  # tail counts allowed coarser than the bin width
 _LEAF_BLOCK = 16384
 
 
-# Morton tables over every 12-bit index: _SPREAD moves bit b to bit 3b and
-# _COMPACT gathers bits 0, 3, 6 and 9 into bits 0-3.  Encoding takes one
-# _AXIS_TABLES lookup per axis per 12 levels (x highest in each octal digit),
-# decoding one _COMPACT lookup per axis per 4 levels.
+# Morton tables over every 12-bit index: _SPREAD moves bit b to bit 3b, and
+# _UNZIP splits 4 levels into the axes' indices, in 20-bit fields (x at bit 40,
+# y at 20, z at 0).  Encoding takes one _AXIS_TABLES lookup per axis per 12
+# levels (x highest in each octal digit), decoding one _UNZIP lookup per 4.
 _INDEX = np.arange(4096, dtype=np.int64)
 _SPREAD = sum(((_INDEX >> b) & 1) << 3 * b for b in range(12))
-_COMPACT = sum(((_INDEX >> 3 * b) & 1) << b for b in range(4))
+_UNZIP = sum(((_INDEX >> 3 * b + 2 - axis) & 1) << b + 20 * (2 - axis) for b in range(4) for axis in range(3))
 _AXIS_TABLES = tuple(_SPREAD << 2 - axis for axis in range(3))
 # The encode tables for each code dtype: an int32 code has 10 levels, so its
 # tables keep the first 2**10 entries, each below 2**30.
@@ -122,19 +122,18 @@ class PartitionTree:
     def leaf_table(self, sel: slice | np.ndarray = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(centers (n,3), sides (n,), counts (n,)) of the leaves `sel` picks, all by default.
 
-        The arrays are the caller's, never views of the tree's.  Each axis's
-        cell index is gathered 4 levels per _COMPACT lookup and goes straight
-        into its column of the centers.
+        The arrays are the caller's, never views of the tree's.  The three
+        axes' cell indices are gathered together, 4 levels per _UNZIP lookup,
+        and each 20-bit field goes straight into its column of the centers.
         """
         codes, counts = self.codes[sel], self.counts[sel].copy()
-        sides = 2.0 * self.box_halfwidth / np.exp2(self.depths[sel].astype(float))
+        sides = np.array([self.cell_side(d) for d in range(self.max_depth + 1)]).take(self.depths[sel])
+        g = np.zeros_like(codes)
+        for low in range(0, self.max_depth, 4):
+            g |= _UNZIP.take((codes >> 3 * low) & 0xFFF) << low
         centers = np.empty((codes.size, 3))
         for axis in range(3):
-            c = codes >> 2 - axis
-            g = np.zeros_like(c)
-            for low in range(0, self.max_depth, 4):
-                g |= _COMPACT.take((c >> 3 * low) & 0xFFF) << low
-            centers[:, axis] = g
+            centers[:, axis] = (g >> 40 - 20 * axis) & 0xFFFFF
         centers += 0.5
         centers *= sides[:, None]
         centers += -self.box_halfwidth

@@ -343,6 +343,19 @@ def test_simulate_failed_export_leaves_no_files_or_threads(capsys, tmp_path, mon
     assert threading.active_count() == before
 
 
+def test_a_request_larger_than_memory_is_a_domain_error(capsys, tmp_path):
+    # 2**58 triplets ask for 1 EiB of cell codes, so the first allocation
+    # fails, before any thread starts or any file is written
+    before = threading.active_count()
+    argv = ["simulate", "--sigma-u", "1", "--sigma-v", "1", "-n", str(2**58)]
+    for out in ([], ["--out", str(tmp_path / "run")]):
+        code, stdout, err = _run(capsys, argv + out)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert threading.active_count() == before
+
+
 # sha256 of `simulate --out` files.  A change to the scan, the collapse or
 # the export must keep these bytes; one that moves them on purpose re-pins
 # them and says why.

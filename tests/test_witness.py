@@ -149,6 +149,42 @@ def test_sampled_witness_never_exceeds_exact(ratio, n, width, seed):
     assert rep.witness_gebits <= exact_e3f(s) + 1e-9
 
 
+# Photon 1 ~ N(0, 1) beside an EPR pair: (x2 + x3)/sqrt2 and (x2 - x3)/sqrt2
+# have sd 1000 and 0.1, and the momenta are conjugate (sd 0.5, 5e-4 and 5).
+# The state is biseparable across 1|23, so its true-entropy witness is at
+# most log2(2/e) = -0.443 (ROADMAP item 16), and these coefficients reach it.
+_PAIR_COEFFICIENTS = WitnessCoefficients(eta=(1.0, 0.1, -0.1), beta=(1.0, 10.0, 10.0))
+_PAIR_SDS = {"position": (1.0, 1000.0, 0.1), "momentum": (0.5, 5e-4, 5.0)}
+_PAIR_COMBINATION_SD = (math.sqrt(1.0 + 2e-4), math.sqrt(0.25 + 5e-5))
+
+
+def _biseparable_pair_witness(n, divisor, seed):
+    """Witness of n pair-state rows per basis at widths of the true combination sd / divisor."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for kind, sds in _PAIR_SDS.items():
+        lone, total, diff = (rng.standard_normal((n, 3)) * sds).T
+        rows = np.column_stack([lone, (total + diff) / math.sqrt(2.0), (total - diff) / math.sqrt(2.0)])
+        sets.append(SampleSet(rows, kind))
+    widths = (sd / divisor for sd in _PAIR_COMBINATION_SD)
+    return witness_from_samples(*sets, _PAIR_COEFFICIENTS, *widths)
+
+
+@pytest.mark.parametrize("divisor", [8, 64])
+def test_sampled_witness_never_certifies_a_biseparable_pair_state(divisor):
+    # the slack is 0.443 gebits, against 1.885 or more on triple-Gaussian states
+    h_x, h_k = (gaussian_differential_entropy(sd) for sd in _PAIR_COMBINATION_SD)
+    assert continuous_witness(_PAIR_COEFFICIENTS, h_x, h_k) == pytest.approx(math.log2(2.0 / math.e), abs=1e-3)
+    # From 300 rows on, no draw certifies.  At 100 rows only the mean stays
+    # below 0: seed 109 certifies 0.026 at sd/8 here.  That is the sample path's
+    # small-N fault (m is the observed span), left for ROADMAP item 14a.
+    for n in (300, 1000):
+        for seed in range(200):
+            rep = _biseparable_pair_witness(n, divisor, seed)
+            assert rep.certified_gebits == 0.0 and rep.witness_gebits < 0.0, (n, seed)
+    assert np.mean([_biseparable_pair_witness(100, divisor, seed).witness_gebits for seed in range(200)]) < 0.0
+
+
 def test_witness_from_samples_validation():
     s = TripleGaussianState(2.0, 1.0, 1.0)
     xs = sample_positions(s, 100, 0)
