@@ -18,14 +18,16 @@ basis per party, inverse overlap Omega_i):
 which evaluates to exactly 1 gebit for GHZ statistics in the Z/X bases.
 
 optimize_coefficients ranks candidate coefficients on each basis's 3x3 sample
-covariance and, only when the search moved off its initial guess, checks its
-result on sampled_witness_objective, the witness at sd/8 histogram bins; both
-run on the calling thread.
+covariance, summed chunk by chunk as six dot products of contiguous centred
+rows, and scores each candidate on plain floats.  Only when the search moved
+off its initial guess does it check its result on sampled_witness_objective,
+the witness at sd/8 histogram bins.  Both run on the calling thread.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -211,32 +213,26 @@ def _covariance(samples: SampleSet) -> np.ndarray:
     """3x3 sample covariance (ddof 0) in two passes over the chunks; no n-row array is made.
 
     Column sums go by gemv (ones @ chunk), at a tenth of values.mean(axis=0)'s
-    cost, and each chunk is centred column by column into one reused buffer,
-    at a third of a broadcast subtract's cost and with no iterator buffer.
+    cost.  Each chunk is then centred, transposed, into one reused (3, chunk)
+    buffer, and the six distinct sums of products are dot products of its
+    contiguous rows, at a third of the cost of centred.T @ centred (a 3 x
+    chunk by chunk x 3 product, BLAS's worst shape).
     """
     values = samples.values
     bounds = list(chunk_bounds(len(values)))
-    block = np.empty((bounds[0][1], 3))  # the first chunk is the largest
-    ones = block.reshape(-1)[: len(block)]  # the buffer is free until the second pass
-    ones.fill(1.0)
+    block = np.empty((3, bounds[0][1]))  # the first chunk is the largest
+    block[0] = 1.0  # row 0 holds ones until the second pass
     total = np.zeros(3)
     for start, stop in bounds:
-        total += ones[: stop - start] @ values[start:stop]
+        total += block[0, : stop - start] @ values[start:stop]
     mean = total / len(values)
-    cov = np.zeros((3, 3))
+    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    sums = np.zeros(len(pairs))
     for start, stop in bounds:
-        centred = block[: stop - start]
-        for j in range(3):
-            np.subtract(values[start:stop, j], mean[j], out=centred[:, j])
-        cov += centred.T @ centred
-    return cov / len(values)
-
-
-def _gaussian_bits(cov: np.ndarray, c: tuple[float, float, float]) -> float:
-    """1/2 log2(2 pi e c.cov.c), the entropy of the Gaussian of c.x's variance; -inf unless > 0."""
-    c = np.asarray(c)
-    variance = float(c @ cov @ c)
-    return gaussian_differential_entropy(math.sqrt(variance)) if variance > 0.0 else -math.inf
+        centred = block[:, : stop - start]
+        np.subtract(values[start:stop].T, mean[:, None], out=centred)
+        sums += [centred[i] @ centred[j] for i, j in pairs]
+    return sums[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]] / len(values)  # (i, j) takes the pair (i, j) or (j, i)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-3) -> tuple[float, float]:
@@ -257,6 +253,23 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-3) -> tuple[float, floa
     return (c, fc) if fc >= fd else (d, fd)
 
 
+def _gaussian_score(cov_x: list, cov_k: list, eta: tuple, beta: tuple) -> float:
+    """continuous_witness at entropies 1/2 log2(2 pi e v), v = c.S.c, on plain floats; -inf unless both v > 0.
+
+    That is log2(p/e) - (log2 v_x + log2 v_k)/2, p the min pair product; each S is a nested list.
+    """
+    (x00, x01, x02), (_, x11, x12), (_, _, x22) = cov_x
+    (k00, k01, k02), (_, k11, k12), (_, _, k22) = cov_k
+    e0, e1, e2 = eta
+    b0, b1, b2 = beta
+    var_x = e0 * e0 * x00 + e1 * e1 * x11 + e2 * e2 * x22 + 2.0 * (e0 * e1 * x01 + e0 * e2 * x02 + e1 * e2 * x12)
+    var_k = b0 * b0 * k00 + b1 * b1 * k11 + b2 * b2 * k22 + 2.0 * (b0 * b1 * k01 + b0 * b2 * k02 + b1 * b2 * k12)
+    if not (var_x > 0.0 and var_k > 0.0):
+        return -math.inf
+    pair = min(abs(e0 * b0), abs(e1 * b1), abs(e2 * b2))
+    return math.log2(pair / math.e) - 0.5 * (math.log2(var_x) + math.log2(var_k))
+
+
 def optimize_coefficients(
     samples_x: SampleSet,
     samples_k: SampleSet,
@@ -267,13 +280,14 @@ def optimize_coefficients(
     Each candidate is scored by the continuous witness with each combination
     entropy replaced by 1/2 log2(2 pi e c.S.c), the entropy of the Gaussian
     of the combination's variance, S being the basis's 3x3 sample covariance
-    (one O(N) pass per basis, then O(1) per candidate).  Of all densities of
-    one variance the Gaussian has the most entropy (Cover & Thomas, Thm
-    8.6.5), so at the true covariance the score is a lower bound on the
-    witness with exact entropies, and the search maximizes that bound as
-    the samples estimate it.  Variance is a poor proxy for heavy-tailed
-    data, such as a sinc**2 phase-matching profile; every state in this
-    package is triple-Gaussian.
+    (_covariance, one O(N) pass per basis; then O(1) per candidate, a plain
+    float triple scored by _gaussian_score, and only the result is built as
+    WitnessCoefficients).  Of all densities of one variance the Gaussian has
+    the most entropy (Cover & Thomas, Thm 8.6.5), so at the true covariance
+    the score is a lower bound on the witness with exact entropies, and the
+    search maximizes that bound as the samples estimate it.  Variance is a
+    poor proxy for heavy-tailed data, such as a sinc**2 phase-matching
+    profile; every state in this package is triple-Gaussian.
 
     Exhausts the 4 sign patterns per vector (modulo the irrelevant global
     sign), then refines the four free magnitude ratios (second and third
@@ -291,65 +305,51 @@ def optimize_coefficients(
     (ROADMAP item 3).  Certify on samples the search did not see.
     """
     _check_sample_sets(samples_x, samples_k)
-    cov_x, cov_k = _covariance(samples_x), _covariance(samples_k)
-    eta0 = np.abs(np.asarray(init.eta))
-    beta0 = np.abs(np.asarray(init.beta))
+    cov_x, cov_k = _covariance(samples_x).tolist(), _covariance(samples_k).tolist()
+    eta0, beta0 = abs(init.eta[0]), abs(init.beta[0])
 
-    def build(signs_e, signs_b, mags) -> WitnessCoefficients:
+    def candidate(signs, mags) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        (se2, se3), (sb2, sb3) = signs
         e2, e3, b2, b3 = mags
-        return WitnessCoefficients(
-            eta=(eta0[0], signs_e[0] * eta0[0] * e2, signs_e[1] * eta0[0] * e3),
-            beta=(beta0[0], signs_b[0] * beta0[0] * b2, signs_b[1] * beta0[0] * b3),
-        )
+        return (eta0, se2 * eta0 * e2, se3 * eta0 * e3), (beta0, sb2 * beta0 * b2, sb3 * beta0 * b3)
 
     warned = False
 
-    def score(c: WitnessCoefficients) -> float:
+    def score(eta, beta) -> float:
         nonlocal warned
-        h_x, h_k = _gaussian_bits(cov_x, c.eta), _gaussian_bits(cov_k, c.beta)
-        if -math.inf not in (h_x, h_k):
-            return continuous_witness(c, h_x, h_k)
-        if not warned:
+        val = _gaussian_score(cov_x, cov_k, eta, beta)
+        if val == -math.inf and not warned:
             warnings.warn(
                 "degenerate (zero-variance) combination met during coefficient "
-                "search; affected axis left at its initial value",
-                RuntimeWarning,
+                "search; affected axis left at its initial value", RuntimeWarning
             )
             warned = True
-        return -math.inf
+        return val
 
-    init_mags = np.array(
-        [eta0[1] / eta0[0], eta0[2] / eta0[0], beta0[1] / beta0[0], beta0[2] / beta0[0]]
-    )
-    init_mags = np.clip(init_mags, _MAG_LO, _MAG_HI)
+    firsts = (eta0, eta0, beta0, beta0)
+    mags = [min(max(abs(v) / f, _MAG_LO), _MAG_HI) for v, f in zip(init.eta[1:] + init.beta[1:], firsts)]
     patterns = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 
-    best, best_val = None, -math.inf
-    for se in patterns:
-        for sb in patterns:
-            cand = build(se, sb, init_mags)
-            val = score(cand)
-            if val > best_val:
-                best, best_val, best_signs = cand, val, (se, sb)
-    if best is None:  # every combination degenerate; nothing to refine
+    best_signs, best_val = None, -math.inf
+    for signs in itertools.product(patterns, repeat=2):
+        val = score(*candidate(signs, mags))
+        if val > best_val:
+            best_val, best_signs = val, signs
+    if best_signs is None:  # every combination degenerate; nothing to refine
         return init
 
-    mags = init_mags.copy()
-    log_lo, log_hi = math.log(_MAG_LO), math.log(_MAG_HI)
     for _sweep in range(2):
         for axis in range(4):
             def along(lm, axis=axis):
-                trial = mags.copy()
-                trial[axis] = math.exp(lm)
-                return score(build(*best_signs, trial))
+                return score(*candidate(best_signs, mags[:axis] + [math.exp(lm)] + mags[axis + 1 :]))
 
-            lm_best, val = _golden_max(along, log_lo, log_hi)
+            lm_best, val = _golden_max(along, math.log(_MAG_LO), math.log(_MAG_HI))
             if val > best_val:  # best_val is finite, so this rules out -inf and nan
                 mags[axis] = math.exp(lm_best)
                 best_val = val
             # degenerate or no improvement: keep the incumbent value
 
-    refined = build(*best_signs, mags)
+    refined = WitnessCoefficients(*candidate(best_signs, mags))
     if refined == init or sampled_witness_objective(
         samples_x, samples_k, refined
     ) >= sampled_witness_objective(samples_x, samples_k, init):

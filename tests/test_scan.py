@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import sys
@@ -515,6 +516,18 @@ _ROUGH_CVEC = np.array([0.8173, -0.3391, -0.4782])
 
 
 _ROUGH_COEFFICIENTS = WitnessCoefficients(eta=tuple(_ROUGH_CVEC), beta=tuple(_ROUGH_CVEC))
+
+
+def test_report_bytes_pin_the_decode_axis_order():
+    # the CSVs are written from the codes, and the SPDC coefficients project a
+    # y/z-swapped leaf centre to the same value, so no other byte pin sees the
+    # decode's axis order; the rough coefficients differ in y and z, and a
+    # decode that swapped the y and z fields of _UNZIP moves this digest
+    _, _, report = scan_pair(
+        TripleGaussianState(20.0, 1.0, 1.0), _ROUGH_COEFFICIENTS, n_samples=20_000, max_depth=10, threshold=8, seed=3
+    )
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "58caf74e823d7e2b8d5729934f7337452326046870605cf43fe1927d58203649"
 
 
 class _OfSpy:

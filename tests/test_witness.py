@@ -23,6 +23,7 @@ from triphoton.entropy import (
     stacked_mutual_information,
 )
 from triphoton.states import (
+    _DRAW_CHUNK,
     SampleSet,
     TripleGaussianState,
     exact_e3f,
@@ -252,15 +253,54 @@ def test_workspace_entropy_equals_reference_path():
 
 
 @pytest.mark.parametrize(
-    "ratio, n, offset", [(10.0, 1, 0.0), (10.0, 64, 0.0), (10.0, 40_000, 0.0), (1.0, 40_000, 1e6)]
+    "sample, widths, n, offset",
+    [  # ids of the positions: ratio-n-offset
+        pytest.param(sample_positions, (10.0, 1.0, 1.0), 1, 0.0, id="10.0-1-0.0"),
+        pytest.param(sample_positions, (10.0, 1.0, 1.0), 64, 0.0, id="10.0-64-0.0"),
+        pytest.param(sample_positions, (10.0, 1.0, 1.0), 40_000, 0.0, id="10.0-40000-0.0"),
+        pytest.param(sample_positions, (1.0, 1.0, 1.0), 40_000, 1e6, id="1.0-40000-1000000.0"),
+        pytest.param(sample_positions, (10.0, 1.0, 1.0), _DRAW_CHUNK + 1, 0.0, id="10.0-16385-0.0"),
+        pytest.param(sample_momenta, (1000.0, 500.0, 500.0), 40_000, 10.0, id="momenta-40000-10.0"),
+    ],
 )
-def test_covariance_matches_numpy(ratio, n, offset):
-    # 40,000 rows span three chunks; at an offset of 1e6 and sd 1, the raw
-    # moments E[xx] - E[x]E[x] would lose all but about 4 digits
-    values = sample_positions(TripleGaussianState(ratio, 1.0, 1.0), n, 3).values + offset
+def test_covariance_matches_numpy(sample, widths, n, offset):
+    # 40,000 rows span three chunks, and _DRAW_CHUNK + 1 leaves a last chunk
+    # of one row; at an offset of 1e6 and sd 1, the raw moments
+    # E[xx] - E[x]E[x] would lose all but about 4 digits.  The momenta have
+    # sd of about 1e-3, so the covariance's entries are about 1e-6
+    values = sample(TripleGaussianState(*widths), n, 3).values + offset
     got = witness._covariance(SampleSet(values=values, kind="position"))
     want = np.cov(values.T, ddof=0)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _search_candidate(rng) -> tuple[float, float, float]:
+    """A first component, then two of it times a sign and a magnitude in [1/8, 8]."""
+    first = 10.0 ** rng.uniform(-2.0, 2.0)
+    return (first, *(first * rng.choice([-1.0, 1.0], 2) * 2.0 ** rng.uniform(-3.0, 3.0, 2)).tolist())
+
+
+def test_search_score_equals_the_witness_of_gaussian_entropies():
+    # the search scores plain float candidates; the reference builds each as
+    # WitnessCoefficients and takes the Gaussian entropy of c.S.c.  The two
+    # sum c.S.c in other orders, so they differ by its rounding, which grows
+    # with the cancellation kappa = |c|.|S|.|c| / c.S.c: 1e-12 up to kappa
+    # 10, 1e-13 kappa beyond (at most 1.3e-14 kappa over 5000 draws)
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        cov_x, cov_k = (a @ a.T for a in rng.standard_normal((2, 3, 3)) * 10.0 ** rng.uniform(-4.0, 4.0, (2, 1, 3)))
+        eta, beta = _search_candidate(rng), _search_candidate(rng)
+        want = continuous_witness(
+            WitnessCoefficients(eta=eta, beta=beta),
+            gaussian_differential_entropy(math.sqrt(eta @ cov_x @ eta)),
+            gaussian_differential_entropy(math.sqrt(beta @ cov_k @ beta)),
+        )
+        got = witness._gaussian_score(cov_x.tolist(), cov_k.tolist(), eta, beta)
+        kappa = max(np.abs(c) @ np.abs(cov) @ np.abs(c) / (c @ cov @ c) for c, cov in ((eta, cov_x), (beta, cov_k)))
+        assert abs(got - want) <= 1e-12 * max(1.0, kappa / 10.0)
+    zero = np.zeros((3, 3)).tolist()
+    assert witness._gaussian_score(zero, cov_k.tolist(), eta, beta) == -math.inf
+    assert witness._gaussian_score(cov_x.tolist(), zero, eta, beta) == -math.inf
 
 
 def test_optimizer_returns_pinned_coefficients():
