@@ -2,7 +2,8 @@
 
 Conventions used throughout:
 
-* 0 * log(0) = 0, so zero-probability outcomes never contribute.
+* 0 * log(0) = 0, so zero-probability outcomes never contribute.  The rule
+  lives in entropy_bits, the one -sum p log2 p of the package.
 * A Gaussian of standard deviation sigma has differential entropy
   (1/2) log2(2 pi e sigma^2); it vanishes at sigma = 1/sqrt(2 pi e).
 * A histogram with normalized counts p_j and bin width w estimates the
@@ -10,10 +11,12 @@ Conventions used throughout:
   Flattening a density within bins can only raise its continuous entropy,
   so the binned entropy over-estimates the true one.  But the plug-in H(p)
   of N samples over m possible bins is biased low, by at most
-  plugin_bias_bits(m, N) = log2(1 + (m-1)/N) in expectation.  Witness
-  formulas subtract the histogram entropy plus that finite-sample term,
-  which keeps the resulting bounds conservative in expectation at any N;
-  no confidence term covers one draw's spread about that expectation.
+  plugin_bias_bits(m, N) = log2(1 + (m-1)/N) in expectation, when m counts
+  every bin of positive probability.  Witness formulas subtract the histogram
+  entropy plus that finite-sample term.  With m a scan's box span that keeps
+  the bounds conservative in expectation; with m the observed span of the
+  samples (witness_from_samples) it does not at small N (ROADMAP item 14a).
+  No confidence term covers one draw's spread about that expectation.
 * m is set where the bins are chosen, as Histogram1D.support_bins, so it
   does not depend on whether the counts list empty bins.
 """
@@ -39,12 +42,9 @@ def _check_width(bin_width: float) -> None:
         raise ValueError(f"bin width must be positive, got {bin_width!r}")
 
 
-def _xlog2x(p: np.ndarray) -> np.ndarray:
-    # p assumed >= 0; returns p*log2(p) with 0 at p == 0
-    out = np.zeros_like(p, dtype=float)
-    nz = p > 0.0
-    out[nz] = p[nz] * np.log2(p[nz])
-    return out
+def entropy_bits(p: np.ndarray, axis=None) -> np.ndarray:
+    """-sum p log2 p over axis (all axes by default), for p >= 0; p == 0 adds 0."""
+    return -(p * np.log2(p, out=np.zeros_like(p, dtype=float), where=p > 0.0)).sum(axis=axis)
 
 
 def _renormalized(p: np.ndarray, axis) -> np.ndarray:
@@ -165,7 +165,7 @@ class Histogram1D:
 
 def shannon_entropy(pmf: DiscretePMF) -> float:
     """H = -sum p log2 p over all joint outcomes, in bits."""
-    return float(-_xlog2x(pmf.probabilities).sum())
+    return float(entropy_bits(pmf.probabilities))
 
 
 def conditional_entropy(pmf: DiscretePMF, target_axis: int) -> float:
@@ -177,8 +177,7 @@ def conditional_entropy(pmf: DiscretePMF, target_axis: int) -> float:
         raise ValueError("conditional entropy needs a joint PMF with >= 2 axes")
     if not 0 <= target_axis < pmf.n_axes:
         raise ValueError(f"target axis {target_axis} out of range for {pmf.n_axes}-axis PMF")
-    rest = tuple(ax for ax in range(pmf.n_axes) if ax != target_axis)
-    return shannon_entropy(pmf) - shannon_entropy(pmf.marginal(rest))
+    return shannon_entropy(pmf) - float(entropy_bits(pmf.as_array().sum(axis=target_axis)))
 
 
 def mutual_information(pmf: DiscretePMF) -> float:
@@ -192,16 +191,13 @@ def stacked_mutual_information(p: np.ndarray) -> np.ndarray:
     """I(A:B) in bits of each two-axis PMF p[..., a, b] in a stack.
 
     Each PMF is checked as DiscretePMF checks one (finite, non-negative,
-    sums to 1 within 1e-12; ValueError otherwise) and renormalised, and so
-    is each of its two marginals.
+    sums to 1 within 1e-12; ValueError otherwise) and renormalised; its two
+    marginals are plain sums of the renormalised PMF.
     """
     p = _renormalized(np.asarray(p, dtype=float), axis=(-2, -1))
-    pa = _renormalized(p.sum(axis=-1), axis=-1)
-    pb = _renormalized(p.sum(axis=-2), axis=-1)
-    h_a = -_xlog2x(pa).sum(axis=-1)
-    h_b = -_xlog2x(pb).sum(axis=-1)
-    h_ab = -_xlog2x(p).sum(axis=(-2, -1))
-    return h_a + h_b - h_ab
+    h_a = entropy_bits(p.sum(axis=-1), axis=-1)
+    h_b = entropy_bits(p.sum(axis=-2), axis=-1)
+    return h_a + h_b - entropy_bits(p, axis=(-2, -1))
 
 
 def binary_entropy(lam: float) -> float:
@@ -237,7 +233,7 @@ def differential_entropy_from_histogram(hist: Histogram1D) -> float:
     in expectation, which a conservative witness adds (see the module docstring).
     """
     p = hist.counts / hist.total
-    return float(-_xlog2x(p).sum() + np.log2(hist.bin_width))
+    return float(entropy_bits(p) + np.log2(hist.bin_width))
 
 
 def plugin_bias_bits(support_bins: int, n: int) -> float:

@@ -31,22 +31,22 @@ def _format_scalar(obj: Any) -> str:
     raise TypeError(f"unsupported report value type {type(obj).__name__}")
 
 
-def json_dumps(obj: Any, indent: int = 2, _level: int = 0) -> str:
-    """Serialize nested dict/list/scalar data with fixed float formatting."""
-    pad = " " * (indent * (_level + 1))
-    end_pad = " " * (indent * _level)
+def json_dumps(obj: Any, _level: int = 0) -> str:
+    """Serialize nested dict/list/scalar data with fixed float formatting, two spaces per level."""
+    pad = "  " * (_level + 1)
+    end_pad = "  " * _level
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{pad}{json.dumps(str(k))}: {json_dumps(v, indent, _level + 1)}"
+            f"{pad}{json.dumps(str(k))}: {json_dumps(v, _level + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + end_pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}{json_dumps(v, indent, _level + 1)}" for v in obj]
+        items = [f"{pad}{json_dumps(v, _level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + end_pad + "]"
     return _format_scalar(obj)
 

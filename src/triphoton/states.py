@@ -146,7 +146,7 @@ def _require_symmetric(s: TripleGaussianState, op: str) -> None:
 def exact_e3f(s: TripleGaussianState) -> float:
     """Tripartite entanglement of formation in gebits, symmetric states only.
 
-    Symmetric under r -> 1/r and exactly 0 at sigma_u == sigma_v.  For width
+    Symmetric under r -> 1/r and +0.0 at sigma_u == sigma_v (lambda0 = 1).  For width
     ratios beyond 1e8 the direct h2(lambda0)/lambda0 evaluation is replaced by
     its expansion log2(1/lambda0) + 1/ln2 - lambda0/(2 ln2) to dodge the
     (1 - lambda0) underflow.  That branch writes lambda0 = 2t/q, t = 1/max(r, 1/r),
@@ -154,8 +154,6 @@ def exact_e3f(s: TripleGaussianState) -> float:
     ratio is squared and it is finite at any ratio.
     """
     _require_symmetric(s, "exact_e3f")
-    if s.sigma_u == s.sigma_v:
-        return 0.0
     r = float(s.sigma_u) / float(s.sigma_v)  # Python floats: no warning on over- or underflow
     if r > _E3F_ASYMPTOTIC_RATIO or r < 1.0 / _E3F_ASYMPTOTIC_RATIO:
         log_rho = abs(np.log2(s.sigma_u) - np.log2(s.sigma_v))

@@ -7,8 +7,9 @@ Continuous form, for linear combinations of the three photon positions
 
 with |eta-bar||beta-bar| = min_i |eta_i|*|beta_i| over the three parties.
 histogram_report adds the plug-in bias term (entropy.py) to each histogram
-entropy, so a witness from measured or simulated samples under-estimates the
-entanglement in expectation at any sample count.
+entropy: conservative in expectation for a scan, whose m is the box's span,
+but not for witness_from_samples at small N, whose m is the observed span and
+can certify a product state (ROADMAP item 14a).
 
 Discrete form, for three-party outcome tables Q (one basis) and R (a second
 basis per party, inverse overlap Omega_i):
@@ -40,6 +41,7 @@ from .entropy import (
     Histogram1D,
     conditional_entropy,
     differential_entropy_from_histogram,
+    entropy_bits,
     gaussian_differential_entropy,
     plugin_bias_bits,
     stacked_mutual_information,
@@ -161,6 +163,8 @@ def witness_from_samples(
     Histogram1D.of (O(N) at any width) and applies the continuous witness to
     the bias-corrected histogram entropies (histogram_report).  With no box,
     each m is the observed span, empty bins included, so m depends on the data.
+    So it can over-certify at small N: a product state certifies > 0 at
+    N = 5 or 10 (ROADMAP item 14a).
     """
     _check_sample_sets(samples_x, samples_k)
     hist_x = Histogram1D.of(samples_x.values @ np.asarray(coeffs.eta), bin_width_x)
@@ -235,13 +239,13 @@ def _covariance(samples: SampleSet) -> np.ndarray:
     return sums[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]] / len(values)  # (i, j) takes the pair (i, j) or (j, i)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-3) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]; returns (x, f(x))."""
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization of f on [lo, hi] to a bracket of 1e-3; returns (x, f(x))."""
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > 1e-3:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -486,7 +490,7 @@ def _vn_entropies_bits(m: np.ndarray) -> np.ndarray:
     made.
 
     A small root taken as t minus the large one would carry the large one's
-    rounding, about 1e-16 absolute, and so keep few digits of an eigenvalue
+    rounding, an ulp of t absolute, and so keep few digits of an eigenvalue
     near 0 (1e-4 relative at 1e-12); from the product it keeps the relative
     precision of |det m|**2 (3e-10 there).
     Smith's formula alone puts all three roots through arccos, whose slope is
@@ -496,19 +500,16 @@ def _vn_entropies_bits(m: np.ndarray) -> np.ndarray:
     there the entropy is stationary: moving delta of weight between two
     eigenvalues lambda and lambda' changes it by about
     delta log2(lambda/lambda'), which is of order delta**2/lambda when they
-    are delta apart, so an eigenvalue error of 1e-8, the square root of the
-    rounding, costs about 1e-16 bits.  Against eigvalsh both forms stay
-    within 3e-14 bits on random, product, I/d, rank-2, near-rank-1 and
+    are delta apart, so an eigenvalue error of the square root of the
+    rounding costs about the rounding in bits.  Against eigvalsh both forms
+    stay within 3e-14 bits on random, product, I/d, rank-2, near-rank-1 and
     doubled-eigenvalue stacks.  d >= 4 stays on eigvalsh.
     """
     if m.shape[-1] <= 3:
         evals = _closed_form_spectra(m)
     else:
         evals = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
-    evals = np.clip(evals, 0.0, 1.0)
-    nz = evals > 1e-16
-    log2 = np.log2(evals, out=np.zeros_like(evals), where=nz)
-    return -(evals * log2).sum(axis=-1)
+    return entropy_bits(np.clip(evals, 0.0, 1.0), axis=-1)
 
 
 def verify_correlation_relation(dim: int, trials: int, seed: int) -> CorrelationCheckReport:

@@ -40,10 +40,16 @@ from triphoton.states import (
     _draw,
     exact_e3f,
     pair_statistics,
+    sample_momenta,
     sample_positions,
     to_momentum,
 )
-from triphoton.witness import SPDC_COEFFICIENTS, WitnessCoefficients, histogram_report
+from triphoton.witness import (
+    SPDC_COEFFICIENTS,
+    WitnessCoefficients,
+    continuous_witness,
+    histogram_report,
+)
 
 _LOG2_3SQRT2E = math.log2(3.0 * math.sqrt(2.0) * math.e)
 
@@ -729,6 +735,30 @@ def test_witness_improves_with_scan_depth():
         prev = w
         last = w
     assert last == pytest.approx(0.317, abs=0.05)
+
+
+def test_depth_8_cells_cannot_reach_the_7b_floor():
+    # ROADMAP item 6: fill every depth-8 cell that holds a sample uniformly,
+    # with no count limit, and the witness of that density is a ceiling for
+    # any estimator that reads only a depth-8 tree.  It sits below criterion
+    # 7b's floor (3.916), so 7b needs depth.  At these seeds it reads 1.94; the
+    # same fill at depth 10 reads 3.82
+    s = TripleGaussianState(100.0, 1.0, 1.0)
+    floor = 1.0 + math.log2(100.0) - _LOG2_3SQRT2E - 0.2
+    rng = np.random.default_rng(2)
+    entropies = []
+    for samples, src, c in (
+        (sample_positions(s, 1_000_000, 0), s, SPDC_COEFFICIENTS.eta),
+        (sample_momenta(s, 1_000_000, 1), to_momentum(s), SPDC_COEFFICIENTS.beta),
+    ):
+        box = _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)  # as _scan_tree
+        cell = 2.0 * box / 2**8
+        kept = samples.values[(np.abs(samples.values) <= box).all(axis=1)]
+        index = np.minimum(np.floor((kept + box) / cell), 2**8 - 1)
+        proj = ((index + rng.random(index.shape)) * cell - box) @ np.asarray(c)
+        hist = Histogram1D.of(proj, float(np.std(proj)) / 64)
+        entropies.append(differential_entropy_from_histogram(hist))
+    assert continuous_witness(SPDC_COEFFICIENTS, *entropies) < floor
 
 
 def test_scan_witness_is_conservative():

@@ -53,6 +53,13 @@ def test_exact_e3f_reference_values():
     assert exact_e3f(sym(1.0)) == 0.0
 
 
+@pytest.mark.parametrize("width", [1e-300, 1.0, 1e300])
+def test_exact_e3f_is_positive_zero_at_equal_widths(width):
+    # no special case: at r = 1 the formula gives lambda0 = 1 and h2(1) = 0
+    got = exact_e3f(TripleGaussianState(width, width, width))
+    assert got == 0.0 and np.copysign(1.0, got) == 1.0
+
+
 def test_exact_e3f_largest_weight_consistency():
     # largest decomposition weight at ratio 10, then h2(w)/w
     lam0 = 0.346449938064
