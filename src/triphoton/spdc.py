@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import TripleGaussianState, exact_e3f
+from .states import TripleGaussianState, exact_e3f_array
 
 # CODATA 2018
 HBAR = 1.054571817e-34  # J s
@@ -180,17 +180,15 @@ def triphoton_momentum_amplitude(c: SpdcConfig, ku, kv, kw):
     return pump * _sinc(geom.a * (4.0 * ku**2 + kv**2 + kw**2))
 
 
-def _fit_widths(sigma_p: float, a: float) -> TripleGaussianState:
-    try:
-        root = math.sqrt(32.0 * a / 9.0 + 3.0 * sigma_p**2)
-    except OverflowError:  # sigma_p**2 overflows
-        root = math.inf
-    if math.isinf(root):  # sigma_p taken out of the root, no square overflows
-        sigma_ku = 0.5 / sigma_p / math.sqrt(3.0 + 32.0 * a / 9.0 / sigma_p / sigma_p)
-    else:
-        sigma_ku = 1.0 / (2.0 * root)
-    sigma_kv = 3.0 / math.sqrt(32.0 * a)
-    return TripleGaussianState(sigma_u=sigma_ku, sigma_v=sigma_kv, sigma_w=sigma_kv)
+def _fit_widths(sigma_p, a: float) -> tuple[np.ndarray, float]:
+    """(sigma_ku, sigma_kv) of the fit; sigma_p a float or 1-D array, sigma_ku an array like it."""
+    sp = np.asarray(sigma_p, dtype=float).reshape(-1)
+    with np.errstate(over="ignore"):
+        root = np.sqrt(32.0 * a / 9.0 + 3.0 * (sp * sp))
+    sigma_ku = 1.0 / (2.0 * root)
+    wide = np.isinf(root)  # sigma_p taken out of the root, no square overflows
+    sigma_ku[wide] = 0.5 / sp[wide] / np.sqrt(3.0 + 32.0 * a / 9.0 / sp[wide] / sp[wide])
+    return sigma_ku.reshape(np.shape(sigma_p)), 3.0 / math.sqrt(32.0 * a)
 
 
 def gaussian_fit_widths(c: SpdcConfig) -> TripleGaussianState:
@@ -199,18 +197,20 @@ def gaussian_fit_widths(c: SpdcConfig) -> TripleGaussianState:
     sigma_ku = 1/(2 sqrt(32a/9 + 3 sigma_p^2)), sigma_kv = sigma_kw = 3/sqrt(32a).
     Position widths are the 1/(2 sigma) duals (states.to_momentum).
     """
-    return _fit_widths(c.sigma_p, phase_match_geometry(c).a)
+    sigma_ku, sigma_kv = _fit_widths(c.sigma_p, phase_match_geometry(c).a)
+    return TripleGaussianState(sigma_u=float(sigma_ku), sigma_v=sigma_kv, sigma_w=sigma_kv)
 
 
-def _witness_gebits(sigma_p: float, k_p: float, L_z: float) -> float:
-    try:
-        corr = 18.0 * sigma_p**2 * k_p / L_z
-    except OverflowError:  # sigma_p**2 overflows
-        corr = math.inf
-    if math.isinf(corr):  # the product overflows; its log does not
-        log2_corr = math.log2(18.0) + 2.0 * math.log2(sigma_p) + math.log2(k_p) - math.log2(L_z)
-        return float(0.5 * np.logaddexp2(4.0, log2_corr) - _LOG2_3SQRT2E)
-    return float(0.5 * math.log2(16.0 + corr) - _LOG2_3SQRT2E)
+def _witness_gebits(sigma_p, k_p: float, L_z: float) -> np.ndarray:
+    """The closed-form witness; sigma_p a float or a 1-D array, the result an array like it."""
+    sp = np.asarray(sigma_p, dtype=float).reshape(-1)
+    with np.errstate(over="ignore"):
+        corr = 18.0 * (sp * sp) * k_p / L_z
+    gebits = 0.5 * np.log2(16.0 + corr) - _LOG2_3SQRT2E
+    wide = np.isinf(corr)  # the product overflows; its log does not
+    log2_corr = np.log2(18.0) + 2.0 * np.log2(sp[wide]) + np.log2(k_p) - np.log2(L_z)
+    gebits[wide] = 0.5 * np.logaddexp2(4.0, log2_corr) - _LOG2_3SQRT2E
+    return gebits.reshape(np.shape(sigma_p))
 
 
 def closed_form_witness(c: SpdcConfig) -> float:
@@ -220,24 +220,27 @@ def closed_form_witness(c: SpdcConfig) -> float:
     lower bound on exact_e3f of the fitted widths; tends to the exact curve
     minus (2/ln2 - 1) as sigma_p grows.
     """
-    return _witness_gebits(c.sigma_p, pump_wavenumber(c.lambda_p, c.n_p), c.L_z)
+    return float(_witness_gebits(c.sigma_p, pump_wavenumber(c.lambda_p, c.n_p), c.L_z))
 
 
 def witness_sweep(c: SpdcConfig, sigma_p_values) -> list[tuple[float, float, float]]:
-    """Rows (sigma_p, witness gebits, exact gebits) across pump widths.
+    """Rows (sigma_p, witness gebits, exact gebits) across a 1-D grid of pump widths.
 
     Each row equals closed_form_witness and exact_e3f(gaussian_fit_widths)
-    of c with sigma_p replaced; a sigma_p that SpdcConfig would reject
-    raises the same ConfigError, before any row is computed.
+    of c with sigma_p replaced, by construction: one array pass through the same
+    formulas.  A sigma_p that SpdcConfig would reject raises the same
+    ConfigError, before any row is computed.
     """
-    sigma_ps = [float(sp) for sp in np.asarray(sigma_p_values, dtype=float)]
-    for sp in sigma_ps:
-        _check_positive("sigma_p", sp)
+    sigma_ps = np.asarray(sigma_p_values, dtype=float)
+    if sigma_ps.ndim != 1:
+        raise ValueError(f"sigma_p values must form a 1-D grid, got shape {sigma_ps.shape}")
+    valid = np.isfinite(sigma_ps) & (sigma_ps > 0.0)
+    if not valid.all():  # SpdcConfig's message for the first bad value
+        _check_positive("sigma_p", float(sigma_ps[np.argmin(valid)]))
     geom = phase_match_geometry(c)
-    return [
-        (sp, _witness_gebits(sp, geom.k_p, c.L_z), exact_e3f(_fit_widths(sp, geom.a)))
-        for sp in sigma_ps
-    ]
+    exact = exact_e3f_array(*_fit_widths(sigma_ps, geom.a))
+    gebits = _witness_gebits(sigma_ps, geom.k_p, c.L_z)
+    return list(zip(sigma_ps.tolist(), gebits.tolist(), exact.tolist()))
 
 
 def triplet_rate(c: SpdcConfig) -> float:

@@ -165,6 +165,22 @@ def exact_e3f(s: TripleGaussianState) -> float:
     return binary_entropy(lam0) / lam0
 
 
+def exact_e3f_array(sigma_u, sigma_v: float) -> np.ndarray:
+    """exact_e3f of each state (sigma_u[i], sigma_v, sigma_v), bit for bit; sigma_u is 1-D."""
+    su = np.asarray(sigma_u, dtype=float)
+    # rows at lambda0 = 1 or past the ratio give inf or nan here; both are replaced below
+    with np.errstate(all="ignore"):
+        r = su / sigma_v
+        rr = r * r
+        lam0 = 2.0 / (1.0 + np.sqrt(5.0 + 2.0 * (rr + 1.0 / rr)) / 3.0)
+        # binary_entropy(lam0) / lam0, in its operation order
+        e3f = (-lam0 * np.log2(lam0) - (1.0 - lam0) * np.log1p(-lam0) / _LN2) / lam0
+    e3f[lam0 == 1.0] = 0.0
+    for i in np.flatnonzero((r > _E3F_ASYMPTOTIC_RATIO) | (r < 1.0 / _E3F_ASYMPTOTIC_RATIO)):
+        e3f[i] = exact_e3f(TripleGaussianState(su[i], sigma_v, sigma_v))
+    return e3f
+
+
 def pair_statistics(s: TripleGaussianState) -> PairStatistics:
     """Two-photon sum/difference widths implied by the rotated-axis widths.
 

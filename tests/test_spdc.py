@@ -1,6 +1,7 @@
 """Down-conversion modeling: geometry, fitted widths, witness, rates."""
 
 import math
+import re
 from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,7 @@ from triphoton.spdc import (
     triplet_rate,
     witness_sweep,
 )
-from triphoton.states import exact_e3f, to_momentum
+from triphoton.states import _E3F_ASYMPTOTIC_RATIO, exact_e3f, to_momentum
 from triphoton.witness import SPDC_COEFFICIENTS, analytic_report, continuous_witness
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -365,6 +366,33 @@ def test_witness_sweep_rows_equal_per_point_config_rows():
         point = replace(cfg, sigma_p=float(sp))
         want.append((float(sp), closed_form_witness(point), exact_e3f(gaussian_fit_widths(point))))
     assert witness_sweep(cfg, grid) == want
+
+
+def test_witness_sweep_rows_equal_per_point_rows_on_every_branch():
+    grid = 10.0 ** np.random.default_rng(31).uniform(-300.0, 300.0, 50_000)
+    for path in (FIG1, FUSED):
+        cfg = load_config(path)
+        points = [replace(cfg, sigma_p=sp) for sp in grid.tolist()]
+        fits = [gaussian_fit_widths(point) for point in points]
+        want = [(p.sigma_p, closed_form_witness(p), exact_e3f(f)) for p, f in zip(points, fits)]
+        assert witness_sweep(cfg, grid) == want
+        # each rare branch is reached: sigma_p**2 overflows in the fit,
+        # 18 sigma_p**2 k_p / L_z overflows in the witness (at smaller widths
+        # too), and the fitted width ratio lies past exact_e3f's asymptotic switch
+        with np.errstate(over="ignore"):
+            square = grid * grid
+            corr = 18.0 * square * pump_wavenumber(cfg.lambda_p, cfg.n_p) / cfg.L_z
+        assert 1000 < np.isinf(square).sum() < np.isinf(corr).sum()
+        ratios = np.array([fit.sigma_u / fit.sigma_v for fit in fits])
+        assert (ratios < 1.0 / _E3F_ASYMPTOTIC_RATIO).sum() > 1000
+
+
+def test_witness_sweep_takes_a_1d_grid():
+    cfg = load_config(FIG1)
+    for grid, shape in ((1e-5, "()"), ([[1e-5, 2e-5]], "(1, 2)")):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            witness_sweep(cfg, grid)
+    assert witness_sweep(cfg, []) == []
 
 
 def test_joint_spectral_amplitude_shape():

@@ -16,6 +16,7 @@ from triphoton.states import (
     _draw,
     birth_zone,
     exact_e3f,
+    exact_e3f_array,
     mancini_bound,
     pair_statistics,
     rotate_from_uvw,
@@ -58,6 +59,36 @@ def test_exact_e3f_is_positive_zero_at_equal_widths(width):
     # no special case: at r = 1 the formula gives lambda0 = 1 and h2(1) = 0
     got = exact_e3f(TripleGaussianState(width, width, width))
     assert got == 0.0 and np.copysign(1.0, got) == 1.0
+
+
+def _assert_e3f_array_bits(sigma_u, sigma_v):
+    got = exact_e3f_array(sigma_u, sigma_v)
+    want = np.array([exact_e3f(TripleGaussianState(u, sigma_v, sigma_v)) for u in sigma_u.tolist()])
+    # bit patterns: equal values, and the sign of every zero
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log10_ratios=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=40),
+    log10_sigma_v=st.floats(-100.0, 100.0),
+)
+@example(log10_ratios=[0.0, 1e-10, -1e-10, 4e-9], log10_sigma_v=0.0)  # lambda0 rounds to 1
+def test_exact_e3f_array_equals_exact_e3f_bit_for_bit(log10_ratios, log10_sigma_v):
+    sigma_v = 10.0**log10_sigma_v
+    _assert_e3f_array_bits(10.0 ** np.array(log10_ratios) * sigma_v, sigma_v)
+
+
+def test_exact_e3f_array_at_equal_widths_and_at_the_asymptotic_switch():
+    edges = [
+        np.nextafter(edge, toward)
+        for edge in (_E3F_ASYMPTOTIC_RATIO, 1.0 / _E3F_ASYMPTOTIC_RATIO)
+        for toward in (0.0, edge, np.inf)
+    ]
+    ratios = np.array([1.0, *edges])
+    got = exact_e3f_array(ratios, 1.0)
+    assert got[0] == 0.0 and np.copysign(1.0, got[0]) == 1.0
+    _assert_e3f_array_bits(ratios, 1.0)
 
 
 def test_exact_e3f_largest_weight_consistency():

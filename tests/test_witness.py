@@ -168,7 +168,14 @@ def test_sampled_witness_certifies_nothing_on_a_product_state_at_small_n(n, seed
 # Photon 1 ~ N(0, 1) beside an EPR pair: (x2 + x3)/sqrt2 and (x2 - x3)/sqrt2
 # have sd 1000 and 0.1, and the momenta are conjugate (sd 0.5, 5e-4 and 5).
 # The state is biseparable across 1|23, so its true-entropy witness is at
-# most log2(2/e) = -0.443 (ROADMAP item 16), and these coefficients reach it.
+# most log2(2/e) = -0.443, and these coefficients reach it. Why: the cut makes
+# photon 1 independent of the pair, and a sum of independent terms has at
+# least the entropy of each, so h(eta.x) >= h(eta_1 x_1) = h(x_1) + log2|eta_1|
+# and h(beta.k) >= h(k_1) + log2|beta_1|. By Bialynicki-Birula-Mycielski
+# h(x_1) + h(k_1) >= log2(pi e), so the witness
+# log2(2 pi min_i |eta_i beta_i|) - h(eta.x) - h(beta.k) is at most
+# log2(2 pi) - log2(pi e) = log2(2/e). The same holds for any party on any
+# pure biseparable state, and by concavity of h on every mixture of them.
 _PAIR_COEFFICIENTS = WitnessCoefficients(eta=(1.0, 0.1, -0.1), beta=(1.0, 10.0, 10.0))
 _PAIR_SDS = {"position": (1.0, 1000.0, 0.1), "momentum": (0.5, 5e-4, 5.0)}
 _PAIR_COMBINATION_SD = (math.sqrt(1.0 + 2e-4), math.sqrt(0.25 + 5e-5))
