@@ -115,12 +115,12 @@ class Histogram1D:
     bin_width: > 0, same units as the binned variable.
     counts: non-negative integers per bin, not all zero; empty bins may be left out.
     support_bins: m of the plug-in bias term, the bins the values could fall
-    in; keyword-only, an integer >= counts.size, counts.size by default.
+    in; keyword-only and required, an integer >= counts.size.
     """
 
     bin_width: float
     counts: np.ndarray
-    support_bins: int | None = field(default=None, kw_only=True)
+    support_bins: int = field(kw_only=True)
 
     def __post_init__(self):
         _check_width(self.bin_width)
@@ -129,8 +129,7 @@ class Histogram1D:
             raise ValueError("counts must be a non-empty 1-D array")
         if not np.all(np.isfinite(c) & (c >= 0) & (np.floor(c) == c)):
             raise ValueError("counts must be non-negative integers")
-        m = c.size if self.support_bins is None else self.support_bins
-        if not isinstance(m, (int, np.integer)) or m < c.size:
+        if not isinstance(m := self.support_bins, (int, np.integer)) or m < c.size:
             raise ValueError(f"support_bins must be an integer >= {c.size}, got {m!r}")
         object.__setattr__(self, "counts", c.astype(np.int64))
         object.__setattr__(self, "support_bins", int(m))

@@ -18,8 +18,8 @@ one-shot draw.  scan_pair runs each basis end to end (draw, encode, sort,
 refine, collapse) on its own thread, and export_pair builds the two trees'
 CSV bytes the same way (_on_two_threads); the threads share no written
 array, so the trees and bytes are those of scanning the bases in turn.
-The collapse and the export work through the leaves _LEAF_BLOCK at a time,
-so that the two bases' peaks, which coincide, stay small.
+The collapse and the export take the leaves in chunk_bounds blocks, so
+that the two bases' peaks, which coincide, stay small.
 
 Leaf-level counts are then collapsed onto the witness's linear combinations
 (cell centers only, mimicking what such an apparatus can record) and fed to
@@ -54,9 +54,6 @@ _BASES = ("position", "momentum")
 _BOX_WIDTHS = 6.0  # box half-side in units of the largest marginal width
 MAX_TREE_DEPTH = 20  # 3 bits per level in a signed 64-bit interleaved code
 _COARSE_MASS_EXCLUDED = 0.01  # tail counts allowed coarser than the bin width
-# Leaves decoded, projected or written at a time by the collapse and the
-# export, so their per-leaf temporaries stay O(block) beside the tree.
-_LEAF_BLOCK = 16384
 
 
 # Morton tables over every 12-bit index: _SPREAD moves bit b to bit 3b, and
@@ -145,9 +142,9 @@ class PartitionTree:
         Leaves are disjoint, so their codes aligned to max_depth are unique
         and sort in the same order as their paths.  A path is the cell's
         octant digits from the root (empty for the root), so each line is
-        depth + 1 + (count digits) + 1 bytes long, newline included.  Per _LEAF_BLOCK
-        leaves, each leaf gets every digit j below the block's depth, deepest first, in
-        a padded buffer.  A digit past a leaf's depth lands on its comma, count or newline
+        depth + 1 + (count digits) + 1 bytes long, newline included.  Per chunk_bounds block
+        of leaves, each leaf gets every digit j below the block's depth, deepest first, in a
+        padded buffer.  A digit past a leaf's depth lands on its comma, count or newline
         (written after all digits), a later line's digit j' < j (written later) or the pad.
         """
         aligned = self.codes << 3 * (self.max_depth - self.depths)
@@ -156,8 +153,8 @@ class PartitionTree:
         depths, counts = self.depths[order], self.counts[order]
         del order
         parts = []
-        for lo in range(0, counts.size, _LEAF_BLOCK):
-            a, d, c = (x[lo : lo + _LEAF_BLOCK] for x in (aligned, depths, counts))
+        for lo, hi in chunk_bounds(counts.size):
+            a, d, c = (x[lo:hi] for x in (aligned, depths, counts))
             n_digits = np.ones_like(c)
             power, top = 10, int(c.max())
             while power <= top:
@@ -368,7 +365,7 @@ def tree_to_linear_histograms(
 
     Uses eta for a position tree, beta for a momentum one.  Each occupied
     leaf contributes its count at the combination value of its center,
-    decoded and projected _LEAF_BLOCK leaves at a time.  The bin depth d is
+    decoded and projected in chunk_bounds blocks.  The bin depth d is
     the first depth at which the counts in leaves of depth <= d exceed 1% of
     all counts, read off the per-depth mass table, so a handful of
     stragglers in shallow tail cells cannot pin the width at the box scale
@@ -389,8 +386,8 @@ def tree_to_linear_histograms(
     # depth-12 `simulate --out` run peak 1-2 MB higher in resident memory
     counts = tree.counts[occupied]
     values = np.empty(occupied.size)
-    for lo in range(0, occupied.size, _LEAF_BLOCK):
-        np.matmul(tree.leaf_table(occupied[lo : lo + _LEAF_BLOCK])[0], cvec, out=values[lo : lo + _LEAF_BLOCK])
+    for lo, hi in chunk_bounds(occupied.size):
+        np.matmul(tree.leaf_table(occupied[lo:hi])[0], cvec, out=values[lo:hi])
     del occupied
     return Histogram1D.of(values, width, weights=counts, support_bins=2**depth + 1)
 

@@ -43,11 +43,12 @@ ROTATION_UVW = np.array(
     ]
 )
 
-# Rows drawn at a time.  A chunk's float temporaries stay in the L2 cache,
-# and its (k, 3) @ (3, 3) rotation (m*n*k = 147k) stays below the size at
-# which OpenBLAS starts threads, which on a busy host cost up to 0.4 s per
-# 1M-row call.  The generator fills rows in order, so a draw taken chunk by
-# chunk from one generator is the same stream as one draw.
+# Rows or leaves per block of every blocked pass, all through chunk_bounds: the
+# draw, the covariance (witness._covariance) and the octree's collapse and export.
+# Each wants float temporaries that stay in the L2 cache, O(block) beside its
+# arrays; the draw's (k, 3) @ (3, 3) rotation (m*n*k = 147k) also stays below the
+# size at which OpenBLAS starts threads, up to 0.4 s per 1M-row call on a busy
+# host.  The generator fills rows in order, so a chunked draw is one draw's stream.
 _DRAW_CHUNK = 16384
 
 # Width ratio beyond which exact_e3f switches to its asymptotic expansion;
@@ -246,7 +247,8 @@ def sample_momenta(s: TripleGaussianState, n: int, seed: int) -> SampleSet:
 
 
 def chunk_bounds(n: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each _DRAW_CHUNK-row chunk of a draw of n rows, in order."""
+    """(start, stop) of each _DRAW_CHUNK block of n rows or leaves, in order.  The draw,
+    covariance, collapse and export all use it, as each wants cache-sized blocks."""
     return ((start, min(start + _DRAW_CHUNK, n)) for start in range(0, n, _DRAW_CHUNK))
 
 

@@ -270,8 +270,8 @@ def test_criterion_8_property_suites():
         for seed in range(10):
             draws = np.random.default_rng(seed).normal(0.0, 1.0, 20_000)
             counts, _ = np.histogram(draws, bins=64, range=(-4.0, 4.0))
-            fine = Histogram1D(8.0 / 64, counts.astype(float))
-            merged = Histogram1D(8.0 / 32, counts.reshape(32, 2).sum(axis=1).astype(float))
+            fine = Histogram1D(8.0 / 64, counts.astype(float), support_bins=64)
+            merged = Histogram1D(8.0 / 32, counts.reshape(32, 2).sum(axis=1).astype(float), support_bins=32)
             gap = differential_entropy_from_histogram(
                 merged
             ) - differential_entropy_from_histogram(fine)

@@ -145,12 +145,12 @@ def test_histogram_entropy_near_analytic_for_fine_bins():
     w = 2.5 / 20
     origin = x.min() - 0.5 * w
     counts = np.bincount(np.floor((x - origin) / w).astype(int))
-    est = differential_entropy_from_histogram(Histogram1D(w, counts))
+    est = differential_entropy_from_histogram(Histogram1D(w, counts, support_bins=counts.size))
     assert abs(est - gaussian_differential_entropy(2.5)) < 0.02
 
 
 def test_histogram_entropy_single_bin_is_log_width():
-    h = Histogram1D(0.37, np.array([1234]))
+    h = Histogram1D(0.37, np.array([1234]), support_bins=1)
     assert abs(differential_entropy_from_histogram(h) - np.log2(0.37)) < 1e-12
 
 
@@ -159,7 +159,7 @@ def test_histogram_entropy_overestimates_density_entropy():
     for w in (0.25, 1.0, 3.0):
         edges = np.arange(-40, 41) * w
         counts = np.round(np.diff(norm.cdf(edges)) * 1e12).astype(np.int64)
-        est = differential_entropy_from_histogram(Histogram1D(w, counts))
+        est = differential_entropy_from_histogram(Histogram1D(w, counts, support_bins=counts.size))
         assert est >= gaussian_differential_entropy(1.0) - 1e-6
 
 
@@ -168,8 +168,8 @@ def test_histogram_entropy_pair_merge_never_lowers_estimate():
     for _ in range(20):
         counts = rng.integers(0, 1000, size=64)
         counts[0] += 1
-        fine = Histogram1D(0.5, counts)
-        merged = Histogram1D(1.0, counts.reshape(32, 2).sum(axis=1))
+        fine = Histogram1D(0.5, counts, support_bins=64)
+        merged = Histogram1D(1.0, counts.reshape(32, 2).sum(axis=1), support_bins=32)
         assert (
             differential_entropy_from_histogram(merged)
             >= differential_entropy_from_histogram(fine) - 1e-12
@@ -233,7 +233,7 @@ def test_histogram_of_fine_bins_counts_occupied_bins_over_the_span():
     dense = np.zeros(1001, dtype=np.int64)
     dense[0], dense[1000] = 2, 1
     assert differential_entropy_from_histogram(hist) == pytest.approx(
-        differential_entropy_from_histogram(Histogram1D(1.0, dense)), abs=1e-12
+        differential_entropy_from_histogram(Histogram1D(1.0, dense, support_bins=1001)), abs=1e-12
     )
     # a caller that chose the grid sets m; up to 4 bins per value stay dense
     values = np.arange(4.0)
@@ -252,14 +252,14 @@ def test_histogram_of_checks_its_width_before_binning(width):
 
 def test_histogram_validation():
     with pytest.raises(ValueError):
-        Histogram1D(0.0, np.array([1]))
+        Histogram1D(0.0, np.array([1]), support_bins=1)
     with pytest.raises(ValueError):
-        Histogram1D(1.0, np.array([-1]))
+        Histogram1D(1.0, np.array([-1]), support_bins=1)
     with pytest.raises(ValueError):
-        Histogram1D(1.0, np.array([], dtype=int))
+        Histogram1D(1.0, np.array([], dtype=int), support_bins=1)
     # counts that sum to zero are refused at construction, before any entropy
     with pytest.raises(ValueError, match="histogram has no counts"):
-        Histogram1D(1.0, np.array([0, 0]))
+        Histogram1D(1.0, np.array([0, 0]), support_bins=2)
     with pytest.raises(ValueError, match="histogram has no counts"):
         Histogram1D(1.0, np.array([0.0, 0.0]), support_bins=9)
     # m counts every bin the values could fall in, so never fewer than counts
@@ -268,9 +268,11 @@ def test_histogram_validation():
     with pytest.raises(ValueError, match="support_bins"):
         Histogram1D(1.0, np.array([1, 2]), support_bins=2.5)
     # keyword-only: a third positional argument is not read as m
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="positional"):
         Histogram1D(1.0, np.array([1, 2]), 5)
-    assert Histogram1D(1.0, np.array([1, 2])).support_bins == 2
+    # required: m is set where the bins are chosen, never taken from counts.size
+    with pytest.raises(TypeError, match="support_bins"):
+        Histogram1D(1.0, np.array([1, 2]))
     assert Histogram1D(1.0, np.array([1, 2]), support_bins=np.int64(7)).support_bins == 7
 
 
@@ -278,10 +280,10 @@ def test_histogram_validation():
 def test_histogram_refuses_counts_that_are_not_integers(counts):
     # once truncated silently ([0.5, 1.7, 2.0] stored as [0, 1, 2]), or cast from NaN
     with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
-        Histogram1D(1.0, np.array(counts))
+        Histogram1D(1.0, np.array(counts), support_bins=len(counts))
 
 
 def test_histogram_keeps_integer_valued_float_counts():
     # bincount with weights, as the scan collapse calls it, returns floats
-    h = Histogram1D(1.0, np.array([1.0, 2.0]))
+    h = Histogram1D(1.0, np.array([1.0, 2.0]), support_bins=2)
     assert h.counts.dtype == np.int64 and h.counts.tolist() == [1, 2]

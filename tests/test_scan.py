@@ -17,12 +17,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from triphoton import scan
+from triphoton import scan, states
 from triphoton.entropy import Histogram1D, differential_entropy_from_histogram
 from triphoton.report import EntanglementReport
 from triphoton.scan import (
     _BOX_WIDTHS,
-    _LEAF_BLOCK,
     _AXIS_TABLES,
     MAX_TREE_DEPTH,
     PartitionTree,
@@ -574,13 +573,13 @@ def _assert_collapse_is_whole_array(monkeypatch, tree):
 def test_blockwise_projection_equals_whole_array(monkeypatch, offset):
     # m occupied leaves against a block of m - offset: m is B + offset
     tree = simulate_adaptive_scan(TripleGaussianState(8.0, 1.0, 1.0), "position", 30_000, 16, 9, 5)
-    monkeypatch.setattr(scan, "_LEAF_BLOCK", _occupied(tree).size - offset)
+    monkeypatch.setattr(states, "_DRAW_CHUNK", _occupied(tree).size - offset)
     _assert_collapse_is_whole_array(monkeypatch, tree)
 
 
 def test_blockwise_projection_on_threshold_one_tree(monkeypatch):
-    tree = _threshold_one_tree(3 * _LEAF_BLOCK + 100, "momentum")
-    assert _occupied(tree).size > 3 * _LEAF_BLOCK  # every sample has a leaf of its own
+    tree = _threshold_one_tree(3 * _DRAW_CHUNK + 100, "momentum")
+    assert _occupied(tree).size > 3 * _DRAW_CHUNK  # every sample has a leaf of its own
     _assert_collapse_is_whole_array(monkeypatch, tree)
 
 
@@ -714,6 +713,7 @@ def test_uniform_depth_tree_matches_direct_histogram():
     direct = Histogram1D(
         bin_width=hist.bin_width,
         counts=np.histogram(combo, bins=edges)[0].astype(float),
+        support_bins=edges.size - 1,
     )
     # center quantization displaces each sample by up to half a cell per axis
     assert differential_entropy_from_histogram(hist) == pytest.approx(
@@ -896,7 +896,7 @@ def test_blockwise_record_bytes_across_block_boundaries(monkeypatch, offset):
     tree = simulate_adaptive_scan(TripleGaussianState(2.0, 1.0, 1.0), "position", 5000, 10, 5, seed=3)
     want = _joined_records(tree)
     for block in (tree.n_leaves - offset, 7):
-        monkeypatch.setattr(scan, "_LEAF_BLOCK", block)
+        monkeypatch.setattr(states, "_DRAW_CHUNK", block)
         assert tree.record_bytes() == want
 
 
@@ -924,14 +924,14 @@ def test_unmasked_path_digits_are_overwritten_by_their_own_writers(
     want = _joined_records(tree)
     with pytest.MonkeyPatch.context() as mp:
         for block in (1, 7, tree.n_leaves):
-            mp.setattr(scan, "_LEAF_BLOCK", block)
+            mp.setattr(states, "_DRAW_CHUNK", block)
             assert tree.record_bytes() == want
 
 
 def test_record_bytes_on_more_leaves_than_a_block():
     codes = np.random.default_rng(1).integers(0, 8**5, size=100_000)
     tree = _build_tree(codes, codes.size, "position", 1.0, 5, 1)
-    assert tree.n_leaves > _LEAF_BLOCK
+    assert tree.n_leaves > _DRAW_CHUNK
     assert tree.record_bytes() == _joined_records(tree)
 
 

@@ -252,7 +252,8 @@ def _reference_entropy(samples, coeffs):
     width = sd / 8
     origin = float(values.min()) - 0.5 * width
     idx = np.floor((values - origin) / width).astype(np.int64)
-    return differential_entropy_from_histogram(Histogram1D(width, np.bincount(idx)))
+    hist = Histogram1D(width, np.bincount(idx), support_bins=int(idx.max()) + 1)
+    return differential_entropy_from_histogram(hist)
 
 
 def test_workspace_entropy_equals_reference_path():
