@@ -427,8 +427,8 @@ class CorrelationCheckReport:
 
 
 # Trials per stacked block. One block at dim 8 peaks at about 4.9 MB of
-# arrays (tracemalloc), and memory stays at that however many trials are
-# asked for.
+# arrays (tracemalloc), and at dim 4, with its stacks of minors, at 2.6 MB;
+# memory stays at that however many trials are asked for.
 _TRIAL_BLOCK = 1024
 
 
@@ -438,19 +438,113 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_roots(s: np.ndarray, prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(small, large) roots of x**2 - s x + prod, for prod >= 0; the small one is 0 where s <= 0."""
-    den = s + np.sqrt(np.maximum(s * s - 4.0 * prod, 0.0))
+    """(small, large) roots of x**2 - s x + prod, for prod >= 0; the small one is 0 where s <= 0.
+
+    prod is clamped to s**2/4, so that both roots stay real, and equal to
+    s/2, where rounding puts it above: at a double root, or where s and
+    prod come from separate roundings, as in the pair quadratics of the
+    d = 4 spectra.
+    """
+    prod = np.minimum(prod, 0.25 * s * s)
+    den = s + np.sqrt(s * s - 4.0 * prod)
     small = np.divide(2.0 * prod, den, out=np.zeros_like(den), where=den > 0.0)
     return small, s - small
 
 
+def _largest_trig_root(p: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Largest root of w**3 - 3 p**2 w - det, whose roots are real: 2p cos(arccos(det/(2 p**3))/3).
+
+    Smith's formula (Comm. ACM 4, 168 (1961)), with the arccos argument 0
+    where p**3 is 0: p = 0 only where the three roots agree to rounding,
+    and there the root is O(p) whatever the argument.
+    """
+    p3 = p * p * p
+    cos3 = np.divide(0.5 * det, p3, out=np.zeros_like(p3), where=p3 > 0.0)
+    return 2.0 * p * np.cos(np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0)
+
+
+# The pairs and triples of row or column indices of a 4x4 matrix m, ascending.
+_PAIRS_4 = tuple(itertools.combinations(range(4), 2))
+_TRIPLES_4 = tuple(itertools.combinations(range(4), 3))
+# Indices into the row-major flat entries of m: the 2x2 minor 6p + c, of
+# rows _PAIRS_4[p] and columns _PAIRS_4[c], is m[i0] m[i1] - m[i2] m[i3].
+_MINORS_2 = np.array([[4 * r + c, 4 * s + d, 4 * r + d, 4 * s + c] for r, s in _PAIRS_4 for c, d in _PAIRS_4]).T
+# The 3x3 minor 4r + c, of rows _TRIPLES_4[r] and every column but c,
+# expanded along its first row f: with the other columns a1 < a2 < a3 and M
+# the 2x2 minors of its other two rows, m[f, a1] M(a2, a3) - m[f, a2]
+# M(a1, a3) + m[f, a3] M(a1, a2).  The index rows hold each term's entry
+# of m, then its index into the 2x2 minors.
+_MINORS_3 = np.array(
+    [
+        [
+            index
+            for a, others in ((a1, (a2, a3)), (a2, (a1, a3)), (a3, (a1, a2)))
+            for index in (4 * rows[0] + a, 6 * _PAIRS_4.index(rows[1:]) + _PAIRS_4.index(others))
+        ]
+        for rows in _TRIPLES_4
+        for a1, a2, a3 in _TRIPLES_4[::-1]
+    ]
+).T
+
+
+def _spectra_4(entries: np.ndarray) -> np.ndarray:
+    """Eigenvalues of m m† from the (16, n) trials-last entries of an (n, 4, 4) stack m; shape (n, 4)."""
+    t = _abs2(entries).sum(axis=0)
+    w, x, y, z = _MINORS_2
+    minors_2 = entries[w] * entries[x] - entries[y] * entries[z]
+    a, a_minor, b, b_minor, c, c_minor = _MINORS_3
+    minors_3 = entries[a] * minors_2[a_minor] - entries[b] * minors_2[b_minor] + entries[c] * minors_2[c_minor]
+    x, cofactor = entries[0:4], minors_3[12:16]  # the first row, and the minors of rows (1, 2, 3)
+    det_m = x[0] * cofactor[0] - x[1] * cofactor[1] + x[2] * cofactor[2] - x[3] * cofactor[3]
+    e2, e3, e4 = _abs2(minors_2).sum(axis=0), _abs2(minors_3).sum(axis=0), _abs2(det_m)
+    # z1 = l1 l2 + l3 l4 is the largest root of the resolvent cubic, of
+    # spread P = e2**2 - 3 t e3 + 12 e4 (the sum over the three pairings of
+    # ((la - lb)(lc - ld))**2 / 2) and depressed constant term Q
+    spread = e2 * e2 - 3.0 * t * e3 + 12.0 * e4
+    depressed = -2.0 / 27.0 * e2**3 + e2 * (t * e3 - 4.0 * e4) / 3.0 - t * t * e4 + 4.0 * e2 * e4 - e3 * e3
+    z1 = e2 / 3.0 + _largest_trig_root(np.sqrt(np.maximum(spread, 0.0)) / 3.0, -depressed)
+    prod_lo, prod_hi = _quadratic_roots(z1, e4)  # l3 l4 and l1 l2
+    sum_lo, sum_hi = _quadratic_roots(t, e2 - z1)  # l3 + l4 and l1 + l2
+    evals = np.stack([*_quadratic_roots(sum_lo, prod_lo), *_quadratic_roots(sum_hi, prod_hi)], axis=-1)
+    near_uniform = 0.75 * t * t - 2.0 * e2 < t * t / 16.0  # tr((m m† - t I/4)**2) < t**2/16
+    if near_uniform.any():
+        evals[near_uniform] = _spectra_4_near_uniform(entries[:, near_uniform], t[near_uniform])
+    return evals
+
+
+def _spectra_4_near_uniform(entries: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """_spectra_4 from the power sums p_k = tr sigma**k of sigma = m m† - t I/4, for small sigma.
+
+    With s1 >= s2 >= |s3| the half differences of the pair sums of sigma's
+    eigenvalues, the eigenvalues are t/4 + (s1 + s2 + s3)/2,
+    t/4 + (s1 - s2 - s3)/2 and t/4 + (-s1 +- (s2 - s3))/2.  s1**2 = p2/3
+    plus the resolvent's largest root; s2**2 and s3**2 have sum p2 - s1**2
+    and product (p3/3)**2 / s1**2, and s3 takes the sign of p3.
+    """
+    rows = entries.reshape(4, 4, -1)
+    sigma = np.einsum("ikn,jkn->ijn", rows, rows.conj())
+    sigma[range(4), range(4)] -= t / 4.0
+    square = np.einsum("ikn,kjn->ijn", sigma, sigma)
+    pairs = ((sigma, sigma), (sigma, square), (square, square))
+    p2, p3, p4 = (np.einsum("ijn,jin->n", a, b).real for a, b in pairs)
+    spread = np.maximum(7.0 * p2 * p2 - 12.0 * p4, 0.0) / 4.0  # P and Q, from the power sums
+    depressed = -17.0 / 108.0 * p2**3 + p2 * p4 / 3.0 - p3 * p3 / 9.0
+    y1 = p2 / 3.0 + _largest_trig_root(np.sqrt(spread) / 3.0, -depressed)
+    y23 = np.divide(p3 * p3 / 9.0, y1, out=np.zeros_like(y1), where=y1 > 0.0)
+    y3, y2 = _quadratic_roots(np.maximum(p2 - y1, 0.0), y23)
+    s1, s2, s3 = np.sqrt(y1), np.sqrt(y2), np.copysign(np.sqrt(y3), p3)
+    return t[:, None] / 4.0 + 0.5 * np.stack([s3 - s1 - s2, s2 - s1 - s3, s1 - s2 - s3, s1 + s2 + s3], axis=-1)
+
+
 def _closed_form_spectra(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of m m†, ascending, for an (n, d, d) stack at d = 2 or 3; shape (n, d)."""
+    """Eigenvalues of m m†, ascending, for an (n, d, d) stack at d = 2, 3 or 4; shape (n, d)."""
     dim = m.shape[-1]
     entries = np.ascontiguousarray(m.reshape(len(m), dim * dim).T)  # trials last
     if dim == 2:
         det_m = entries[0] * entries[3] - entries[1] * entries[2]
         return np.stack(_quadratic_roots(_abs2(entries).sum(axis=0), _abs2(det_m)), axis=-1)
+    if dim == 4:
+        return _spectra_4(entries)
     a, b, c = entries[0:3], entries[3:6], entries[6:9]  # the rows of m
     r00, r11, r22 = _abs2(a).sum(axis=0), _abs2(b).sum(axis=0), _abs2(c).sum(axis=0)
     r01, r02, r12 = ((x * y.conj()).sum(axis=0) for x, y in ((a, b), (a, c), (b, c)))
@@ -463,9 +557,7 @@ def _closed_form_spectra(m: np.ndarray) -> np.ndarray:
         s00 * s11 * s22 + 2.0 * (r01 * r12 * r02.conj()).real
         - s00 * off[2] - s11 * off[1] - s22 * off[0]
     )
-    p3 = p * p * p  # 0 only where rho = q I to rounding, and there largest = q + O(p)
-    cos3 = np.divide(0.5 * det_shifted, p3, out=np.zeros_like(p3), where=p3 > 0.0)
-    largest = q + 2.0 * p * np.cos(np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0)
+    largest = q + _largest_trig_root(p, det_shifted)
     det_m = (
         a[0] * (b[1] * c[2] - b[2] * c[1])
         - a[1] * (b[0] * c[2] - b[2] * c[0])
@@ -503,9 +595,32 @@ def _vn_entropies_bits(m: np.ndarray) -> np.ndarray:
     are delta apart, so an eigenvalue error of the square root of the
     rounding costs about the rounding in bits.  Against eigvalsh both forms
     stay within 3e-14 bits on random, product, I/d, rank-2, near-rank-1 and
-    doubled-eigenvalue stacks.  d >= 4 stays on eigvalsh.
+    doubled-eigenvalue stacks.
+
+    At d = 4 (_spectra_4) the coefficients e1 = t, e2, e3, e4 of the
+    characteristic polynomial come from the minors of m by Cauchy-Binet:
+    e_k is the sum of |k x k minors of m|**2.  Each is a sum of non-negative
+    terms, so a rank-deficient m gives tiny e_k, not rounding noise, and
+    small eigenvalues stay small.  z1 = l1 l2 + l3 l4, the largest root of
+    the resolvent cubic, comes from Smith's formula; the roots of
+    x**2 - z1 x + e4 are the pair products l3 l4 and l1 l2, those of
+    x**2 - t x + (e2 - z1) the pair sums, and each pair is the roots of its
+    own sum and product.  These pair quadratics need _quadratic_roots'
+    clamp: without it, product states came out 0.3 bits off.  Near I/4 all
+    four quadratics have near-double roots, and an error of the square root
+    of the rounding grows to its fourth root (2.5e-8 bits at I/4).  So
+    where tr((rho - tI/4)**2) < t**2/16, _spectra_4_near_uniform solves the
+    same quartic from the power sums of rho - tI/4, which vanish with it.
+    No eigenvalue is below 0.03 t there, and no two below t/8, so that form
+    needs no minors.  At the switch both forms stay within 5e-15 bits of
+    eigvalsh; the minors form first errs by 1e-12 bits below about
+    1e-4 t**2, and the power-sum form only near t**2/4, where two
+    eigenvalues can vanish.  Against eigvalsh the d = 4 forms stay within
+    3e-14 bits on random states and on product, I/4, rank-2, rank-3,
+    equal-pair, triple-tie, near-rank-1 and 1e-12-tail spectra.  d >= 5
+    stays on eigvalsh.
     """
-    if m.shape[-1] <= 3:
+    if m.shape[-1] <= 4:
         evals = _closed_form_spectra(m)
     else:
         evals = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))

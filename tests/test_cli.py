@@ -467,11 +467,12 @@ def test_simulate_from_config(capsys):
 
 
 def test_validate_subcommand(capsys):
-    code, out, _ = _run(capsys, ["validate", "--dim", "2", "--trials", "50", "--seed", "1"])
-    assert code == 0
-    d = json.loads(out)
-    assert d["max_violation"] <= 1e-9
-    assert d["inputs"] == {"dim": 2, "trials": 50, "seed": 1}
+    for dim in (2, 4):  # the entanglement entropy in closed form, at d = 4 from the minors of m
+        code, out, _ = _run(capsys, ["validate", "--dim", str(dim), "--trials", "50", "--seed", "1"])
+        assert code == 0
+        d = json.loads(out)
+        assert d["max_violation"] <= 1e-9
+        assert d["inputs"] == {"dim": dim, "trials": 50, "seed": 1}
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--dim", "17"])
     assert exc.value.code == 2

@@ -798,6 +798,19 @@ _SCHMIDT_WEIGHTS = {
     "near rank 1": (1.0, 1e-7, 1e-9),
 }
 
+_SCHMIDT_WEIGHTS_4 = {
+    "product": (1.0, 0.0, 0.0, 0.0),
+    "identity": (1.0, 1.0, 1.0, 1.0),
+    "rank 2": (1.0, 0.5, 0.0, 0.0),
+    "rank 3": (1.0, 0.5, 0.25, 0.0),
+    "equal top three, zero": (1.0, 1.0, 1.0, 0.0),
+    "equal top three": (1.0, 1.0, 1.0, 0.3),
+    "equal bottom three": (1.0, 0.3, 0.3, 0.3),
+    "two equal pairs": (1.0, 1.0, 0.3, 0.3),
+    "near rank 1": (1.0, 1e-7, 1e-9, 1e-11),
+    "1e-12 tail": (1.0, 0.5, 0.3, 1e-12),
+}
+
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("case", list(_SCHMIDT_WEIGHTS))
@@ -813,8 +826,20 @@ def test_closed_form_entropies_match_eigvalsh(dim, case):
             assert np.abs(got - _entropy_by_eigvalsh(stack)).max() <= 1e-12, case
 
 
+@pytest.mark.parametrize("case", list(_SCHMIDT_WEIGHTS_4))
+def test_closed_form_entropies_match_eigvalsh_at_dim_4(case):
+    # near I/4 (identity) the spectrum comes from m m† - I/4, elsewhere from the minors of m
+    m, w = _schmidt_stack(np.random.default_rng(304), _SCHMIDT_WEIGHTS_4[case])
+    exact = np.diag(np.sqrt(w)).astype(complex)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack in (m, exact):
+            got = witness._vn_entropies_bits(stack)
+            assert np.abs(got - _entropy_by_eigvalsh(stack)).max() <= 1e-12, case
+
+
 def test_closed_form_entropies_match_eigvalsh_on_random_states():
-    for dim in (2, 3):
+    for dim in (2, 3, 4):
         m = _ginibre(np.random.default_rng(400 + dim), (2000, dim, dim))
         m /= np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1), keepdims=True))
         diff = witness._vn_entropies_bits(m) - _entropy_by_eigvalsh(m)
@@ -824,10 +849,48 @@ def test_closed_form_entropies_match_eigvalsh_on_random_states():
 def test_closed_form_spectra_keep_small_eigenvalues_relative_precision():
     # t minus the large root would give the 1e-12 eigenvalue to about 1e-4
     rng = np.random.default_rng(500)
-    for weights in ((1.0, 1e-12), (1.0, 1.0, 1e-12)):
+    for weights in ((1.0, 1e-12), (1.0, 1.0, 1e-12), (1.0, 1.0, 1.0, 1e-12)):
         m, w = _schmidt_stack(rng, weights)
         smallest = witness._closed_form_spectra(m)[:, 0]
         assert np.abs(smallest / w[-1] - 1.0).max() <= 1e-8, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.sampled_from([0.0, 1e-12, 1e-6, 0.3, 1.0]) | st.floats(0.0, 1.0), min_size=2, max_size=4)
+    .filter(lambda w: sum(w) > 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(weights=[1.0, 1.0, 1.0, 1.0], seed=0)
+@example(weights=[1.0, 0.0, 0.0, 0.0], seed=0)
+@example(weights=[1.0, 1.0, 0.0, 0.0], seed=0)
+def test_closed_form_entropies_match_eigvalsh_on_ties_and_zeros(weights, seed):
+    # weights drawn from a few values tie and vanish often, at d = 2, 3 and 4
+    w = np.asarray(weights) / sum(weights)
+    u = _haar(np.random.default_rng(seed), (20, 2, len(w), len(w)))
+    rotated = u[:, 0] * np.sqrt(w) @ u[:, 1].swapaxes(-1, -2)
+    exact = np.diag(np.sqrt(w)).astype(complex)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack in (rotated, exact):
+            got = witness._vn_entropies_bits(stack)
+            assert np.abs(got - _entropy_by_eigvalsh(stack)).max() <= 1e-12
+
+
+def test_closed_form_entropies_make_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "qr", "det", "slogdet", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(600)
+    for dim in (2, 3, 4):
+        m = _ginibre(rng, (1000, dim, dim))
+        m /= np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1), keepdims=True))
+        near_uniform = np.eye(dim) / np.sqrt(dim) + 1e-3 * m  # m m† near I/d: the power-sum form at d = 4
+        for stack in (m, near_uniform):
+            assert np.isfinite(witness._vn_entropies_bits(stack)).all()
+        assert verify_correlation_relation(dim, 50, dim).max_violation <= 1e-9
 
 
 def _haar_basis_trials(dim, trials, seed):
@@ -868,9 +931,10 @@ def test_correlation_check_matches_haar_bases_in_distribution(monkeypatch):
 
 
 def test_correlation_check_memory_is_bounded_by_one_block():
-    verify_correlation_relation(8, 1024, 0)  # lazy set-up stays out of the peak
-    _, peak = _traced_memory(lambda: verify_correlation_relation(8, 1024, 0))
-    assert peak < 6e6
+    for dim in (8, 4):  # d = 4 holds the stacks of 2x2 and 3x3 minors
+        verify_correlation_relation(dim, 1024, 0)  # lazy set-up stays out of the peak
+        _, peak = _traced_memory(lambda: verify_correlation_relation(dim, 1024, 0))
+        assert peak < 6e6, dim
 
 
 @settings(max_examples=40, deadline=None)
