@@ -147,10 +147,13 @@ class Histogram1D:
         origin = float(values.min()) - 0.5 * bin_width
         scaled = np.subtract(values, origin, dtype=np.float64)
         scaled /= bin_width
+        top = scaled.max()  # NaN if a value is; read before the cast, which wraps past 2**63
+        if not top < 2**63:
+            raise ValueError(f"bin width {bin_width!r} gives {float(top)!r} bins over the values, not < 2**63")
+        span = int(top) + 1
         # values - origin >= 0, so the truncating cast is the floor; in place, to save an array
         idx = scaled.view(np.int64)
         np.copyto(idx, scaled, casting="unsafe")
-        span = int(idx.max()) + 1
         if span > 4 * idx.size:
             # occupied bins only: dense ones can't be allocated at fine widths (1000 rows, 1e-8: 16 GB)
             idx = np.unique(idx, return_inverse=True)[1]

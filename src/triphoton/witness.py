@@ -508,32 +508,13 @@ def _spectra_4(entries: np.ndarray) -> np.ndarray:
     evals = np.stack([*_quadratic_roots(sum_lo, prod_lo), *_quadratic_roots(sum_hi, prod_hi)], axis=-1)
     near_uniform = 0.75 * t * t - 2.0 * e2 < t * t / 16.0  # tr((m m† - t I/4)**2) < t**2/16
     if near_uniform.any():
-        evals[near_uniform] = _spectra_4_near_uniform(entries[:, near_uniform], t[near_uniform])
+        evals[near_uniform] = _eigvalsh_spectra(entries[:, near_uniform].T.reshape(-1, 4, 4))
     return evals
 
 
-def _spectra_4_near_uniform(entries: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """_spectra_4 from the power sums p_k = tr sigma**k of sigma = m m† - t I/4, for small sigma.
-
-    With s1 >= s2 >= |s3| the half differences of the pair sums of sigma's
-    eigenvalues, the eigenvalues are t/4 + (s1 + s2 + s3)/2,
-    t/4 + (s1 - s2 - s3)/2 and t/4 + (-s1 +- (s2 - s3))/2.  s1**2 = p2/3
-    plus the resolvent's largest root; s2**2 and s3**2 have sum p2 - s1**2
-    and product (p3/3)**2 / s1**2, and s3 takes the sign of p3.
-    """
-    rows = entries.reshape(4, 4, -1)
-    sigma = np.einsum("ikn,jkn->ijn", rows, rows.conj())
-    sigma[range(4), range(4)] -= t / 4.0
-    square = np.einsum("ikn,kjn->ijn", sigma, sigma)
-    pairs = ((sigma, sigma), (sigma, square), (square, square))
-    p2, p3, p4 = (np.einsum("ijn,jin->n", a, b).real for a, b in pairs)
-    spread = np.maximum(7.0 * p2 * p2 - 12.0 * p4, 0.0) / 4.0  # P and Q, from the power sums
-    depressed = -17.0 / 108.0 * p2**3 + p2 * p4 / 3.0 - p3 * p3 / 9.0
-    y1 = p2 / 3.0 + _largest_trig_root(np.sqrt(spread) / 3.0, -depressed)
-    y23 = np.divide(p3 * p3 / 9.0, y1, out=np.zeros_like(y1), where=y1 > 0.0)
-    y3, y2 = _quadratic_roots(np.maximum(p2 - y1, 0.0), y23)
-    s1, s2, s3 = np.sqrt(y1), np.sqrt(y2), np.copysign(np.sqrt(y3), p3)
-    return t[:, None] / 4.0 + 0.5 * np.stack([s3 - s1 - s2, s2 - s1 - s3, s1 - s2 - s3, s1 + s2 + s3], axis=-1)
+def _eigvalsh_spectra(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of m m†, ascending, for an (n, d, d) stack, by LAPACK's eigvalsh; shape (n, d)."""
+    return np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
 
 
 def _closed_form_spectra(m: np.ndarray) -> np.ndarray:
@@ -608,22 +589,15 @@ def _vn_entropies_bits(m: np.ndarray) -> np.ndarray:
     own sum and product.  These pair quadratics need _quadratic_roots'
     clamp: without it, product states came out 0.3 bits off.  Near I/4 all
     four quadratics have near-double roots, and an error of the square root
-    of the rounding grows to its fourth root (2.5e-8 bits at I/4).  So
-    where tr((rho - tI/4)**2) < t**2/16, _spectra_4_near_uniform solves the
-    same quartic from the power sums of rho - tI/4, which vanish with it.
-    No eigenvalue is below 0.03 t there, and no two below t/8, so that form
-    needs no minors.  At the switch both forms stay within 5e-15 bits of
-    eigvalsh; the minors form first errs by 1e-12 bits below about
-    1e-4 t**2, and the power-sum form only near t**2/4, where two
-    eigenvalues can vanish.  Against eigvalsh the d = 4 forms stay within
-    3e-14 bits on random states and on product, I/4, rank-2, rank-3,
-    equal-pair, triple-tie, near-rank-1 and 1e-12-tail spectra.  d >= 5
-    stays on eigvalsh.
+    of the rounding grows to its fourth root (2.5e-8 bits at I/4).  The
+    minors form first errs by 1e-12 bits where tr((rho - tI/4)**2) falls
+    below about 1e-4 t**2, so trials below t**2/16 (0.03% of random states)
+    go to eigvalsh, as every trial at d >= 5 does.  Against eigvalsh the
+    d = 4 form stays within 3e-14 bits on random states and on product,
+    rank-2, rank-3, equal-pair, triple-tie, near-rank-1 and 1e-12-tail
+    spectra.
     """
-    if m.shape[-1] <= 4:
-        evals = _closed_form_spectra(m)
-    else:
-        evals = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
+    evals = _closed_form_spectra(m) if m.shape[-1] <= 4 else _eigvalsh_spectra(m)
     return entropy_bits(np.clip(evals, 0.0, 1.0), axis=-1)
 
 

@@ -1,5 +1,7 @@
 """Entropy kernels checked against closed forms and quadrature oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -242,6 +244,21 @@ def test_histogram_of_fine_bins_counts_occupied_bins_over_the_span():
     assert narrow.support_bins == 9
     np.testing.assert_array_equal(Histogram1D.of(values, 0.25).counts[::4], [1, 1, 1, 1])
     assert Histogram1D.of(values, 0.25).counts.size == 13
+
+
+def test_histogram_of_refuses_spans_past_int64():
+    # the int64 bin index would wrap: 2**-63 gave m = 2**62 + 1, 1e-19 gave 5e18 + 1, 1e-300 a
+    # bincount error; a NaN or inf value makes the span NaN or inf
+    values = np.array([0.0, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Histogram1D.of(values, 2.0**-62).support_bins == 2**62 + 1
+        for width in (2.0**-63, 1e-19, 1e-300):
+            with pytest.raises(ValueError, match=f"bin width {width!r} gives"):
+                Histogram1D.of(values, width)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="not < 2\\*\\*63"):
+                Histogram1D.of(np.array([0.0, bad, 1.0]), 0.1)
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])

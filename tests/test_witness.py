@@ -826,14 +826,23 @@ def test_closed_form_entropies_match_eigvalsh(dim, case):
             assert np.abs(got - _entropy_by_eigvalsh(stack)).max() <= 1e-12, case
 
 
+def _near_uniform_4(rng, n):
+    """n normalised 4x4 matrices I/2 + 1e-3 g, g complex Ginibre: each m m† is near I/4, and eigvalsh takes it."""
+    m = np.eye(4) / 2.0 + 1e-3 * _ginibre(rng, (n, 4, 4))
+    return m / np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1), keepdims=True))
+
+
 @pytest.mark.parametrize("case", list(_SCHMIDT_WEIGHTS_4))
 def test_closed_form_entropies_match_eigvalsh_at_dim_4(case):
-    # near I/4 (identity) the spectrum comes from m m† - I/4, elsewhere from the minors of m
-    m, w = _schmidt_stack(np.random.default_rng(304), _SCHMIDT_WEIGHTS_4[case])
+    # near I/4 (identity) the spectrum comes from eigvalsh, elsewhere from the minors of m
+    rng = np.random.default_rng(304)
+    m, w = _schmidt_stack(rng, _SCHMIDT_WEIGHTS_4[case])
     exact = np.diag(np.sqrt(w)).astype(complex)[None]
+    # near-I/4 trials at random rows among the others: each must go back to its own row
+    interleaved = np.where(rng.random(len(m))[:, None, None] < 0.3, _near_uniform_4(rng, len(m)), m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for stack in (m, exact):
+        for stack in (m, exact, interleaved):
             got = witness._vn_entropies_bits(stack)
             assert np.abs(got - _entropy_by_eigvalsh(stack)).max() <= 1e-12, case
 
@@ -877,20 +886,47 @@ def test_closed_form_entropies_match_eigvalsh_on_ties_and_zeros(weights, seed):
             assert np.abs(got - _entropy_by_eigvalsh(stack)).max() <= 1e-12
 
 
-def test_closed_form_entropies_make_no_lapack_call(monkeypatch):
+def test_closed_form_entropies_make_lapack_calls_only_near_uniform(monkeypatch):
+    # d = 2 and 3 call no np.linalg routine; at d = 4 eigvalsh gets exactly the
+    # trials with tr((m m† - I/4)**2) < 1/16, and every other routine refuses
+    eigvalsh, received = np.linalg.eigvalsh, []
+
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK called")
+
+    def record(a, *args, **kwargs):
+        received.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    def flagged_by(rho):  # the switch rule at t = 1
+        return np.einsum("nij,nji->n", rho, rho).real - 0.25 < 1.0 / 16.0
 
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "qr", "det", "slogdet", "inv", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
     rng = np.random.default_rng(600)
-    for dim in (2, 3, 4):
+    for dim in (2, 3):
         m = _ginibre(rng, (1000, dim, dim))
         m /= np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1), keepdims=True))
-        near_uniform = np.eye(dim) / np.sqrt(dim) + 1e-3 * m  # m m† near I/d: the power-sum form at d = 4
+        near_uniform = np.eye(dim) / np.sqrt(dim) + 1e-3 * m
         for stack in (m, near_uniform):
             assert np.isfinite(witness._vn_entropies_bits(stack)).all()
         assert verify_correlation_relation(dim, 50, dim).max_violation <= 1e-9
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    m = _ginibre(rng, (20000, 4, 4))
+    m /= np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1), keepdims=True))
+    for stack in (m, _near_uniform_4(rng, 1000)):
+        rho = stack @ stack.conj().swapaxes(-1, -2)
+        flagged = flagged_by(rho)
+        assert flagged.any()
+        received.clear()
+        assert np.isfinite(witness._vn_entropies_bits(stack)).all()
+        assert len(received) == 1
+        np.testing.assert_allclose(received[0], rho[flagged], rtol=0.0, atol=1e-15)
+    assert flagged.all()  # the near-I/4 stack goes to eigvalsh whole
+    received.clear()
+    assert verify_correlation_relation(4, 50, 4).max_violation <= 1e-9
+    for rho in received:  # only flagged trials, however many the draw holds
+        assert flagged_by(rho).all()
 
 
 def _haar_basis_trials(dim, trials, seed):
