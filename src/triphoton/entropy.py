@@ -144,12 +144,15 @@ class Histogram1D:
         default the span from the smallest value's bin to the largest's.  O(N) at any width.
         """
         _check_width(bin_width)
-        origin = float(values.min()) - 0.5 * bin_width
-        scaled = np.subtract(values, origin, dtype=np.float64)
-        scaled /= bin_width
-        top = scaled.max()  # NaN if a value is; read before the cast, which wraps past 2**63
+        lo, hi = float(values.min()), float(values.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"values span [{lo!r}, {hi!r}]; a histogram needs finite values")
+        origin = lo - 0.5 * bin_width
+        top = (hi - origin) / bin_width  # scaled.max(), as both steps are monotone; the cast wraps past 2**63
         if not top < 2**63:
             raise ValueError(f"bin width {bin_width!r} gives {float(top)!r} bins over the values, not < 2**63")
+        scaled = np.subtract(values, origin, dtype=np.float64)
+        scaled /= bin_width
         span = int(top) + 1
         # values - origin >= 0, so the truncating cast is the floor; in place, to save an array
         idx = scaled.view(np.int64)

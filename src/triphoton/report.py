@@ -1,54 +1,22 @@
 """Entanglement report record and its JSON form.
 
-JSON output writes every float with 17 significant digits, and a negative
-zero as -0.0, so a parse -> serialize round trip is lossless and
-byte-identical run to run.
+JSON output spells every float by repr, the shortest string that parses back
+to the same float, so an integral float keeps its ".0" and -0.0 stays -0.0:
+a parse -> serialize round trip is lossless and byte-identical run to run.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from typing import Any
 
 from . import __version__
 
 
-def _format_scalar(obj: Any) -> str:
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            raise ValueError(f"non-finite value {obj!r} cannot go in a report")
-        if obj == 0.0 and math.copysign(1.0, obj) < 0.0:
-            return "-0.0"  # "-0" would parse back as the integer 0
-        return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"unsupported report value type {type(obj).__name__}")
-
-
-def json_dumps(obj: Any, _level: int = 0) -> str:
-    """Serialize nested dict/list/scalar data with fixed float formatting, two spaces per level."""
-    pad = "  " * (_level + 1)
-    end_pad = "  " * _level
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad}{json.dumps(str(k))}: {json_dumps(v, _level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + end_pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}{json_dumps(v, _level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + end_pad + "]"
-    return _format_scalar(obj)
+def json_dumps(obj: Any) -> str:
+    """Two spaces per level, floats by repr; ValueError on NaN or inf, TypeError on other types."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 @dataclass(frozen=True, kw_only=True)

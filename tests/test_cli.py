@@ -11,7 +11,7 @@ import pytest
 
 from triphoton import cli, scan
 from triphoton.cli import main
-from triphoton.report import EntanglementReport
+from triphoton.report import EntanglementReport, json_dumps
 from triphoton.scan import MAX_TREE_DEPTH
 from triphoton.spdc import qpm_penalty
 from triphoton.states import TripleGaussianState, exact_e3f
@@ -361,23 +361,23 @@ def test_a_request_larger_than_memory_is_a_domain_error(capsys, tmp_path):
 # them and says why.
 _PINNED_OUTPUTS = {
     ("--sigma-u", "100", "--sigma-v", "1", "-n", "20000", "--depth", "12", "--threshold", "16", "--seed", "0"): {
-        ".json": "c3921def2595ee6faf7892c9dfe5193579885c174f2b0efef69e118dc45c244e",
+        ".json": "eebc0366d00d3f732777678480720bc818e0276771e854a7a9add56ebf0a24cc",
         "_position.csv": "a8cabe6dd833aaf9935decea475b55b4c9a9e5d2f67416c9402a1a4ec2565dfc",
         "_momentum.csv": "8f5e1a75c7a876bfb19fd7e18e46ff88cb94c9865fac6aabeafb84ae92d1baf3",
     },
     ("--sigma-u", "1", "--sigma-v", "1", "-n", "5000", "--depth", "20", "--threshold", "1"): {
-        ".json": "c5b4a8f70fe8a4e9887506d7050fe219bb18cce57e950dfca2a14898083ba0eb",
+        ".json": "71d5453e93655b767d87c42960ff2407d74b8cec1442404501c997e3aeda9b8d",
         "_position.csv": "8cbc41bbc7bfd1f724ce51c31a028cb3deb4ba292fbe7969d0bf1d706ef4dfd4",
         "_momentum.csv": "9e242a1327bbefe0cb6943541aa8c9b9dd987ed26fd8a8f6a8719b982b4dc0b4",
     },
     # int32 cell codes: the default depth 8, and depth 10, the deepest int32 tree
     ("--sigma-u", "100", "--sigma-v", "1", "-n", "20000"): {
-        ".json": "999c8869b6aa9d197675987e03b3518c26707a647978a2cfc250479ca77c9fa2",
+        ".json": "254c06e3178af570bbd0922afd6057410a36cbaa42268a686190909a841b66a4",
         "_position.csv": "3d84b212568125f115d27d2cad3ff7ca115bd62c93fcc33f58d99324d24bf4d1",
         "_momentum.csv": "8f5e1a75c7a876bfb19fd7e18e46ff88cb94c9865fac6aabeafb84ae92d1baf3",
     },
     ("--sigma-u", "100", "--sigma-v", "1", "-n", "20000", "--depth", "10", "--threshold", "2"): {
-        ".json": "b8197b2d5bbb6ceebcd9cd99c033488315040929c73efaefafe579be95d00cfc",
+        ".json": "0ad13e2a3e8b5243c793ff4b679c5fda0d8e8b8b87309ee283eb97f65ff2328f",
         "_position.csv": "ae33d7f2f48d53ad317d29ac14eefdd6006938b2883e8a0a170742d8f95bb861",
         "_momentum.csv": "fc8909ba5499c4f2abc9bf61036d6e356c390b3b89f1e2e612b506d907c3dc28",
     },
@@ -400,10 +400,10 @@ def test_simulate_out_bytes_are_pinned(capsys, tmp_path, args):
 # path is given relative to the repository root, as rate echoes it.
 _PINNED_COMMANDS = {
     ("e3f", "--sigma-u", "10", "--sigma-v", "1", "--json"): (
-        "cfed0b1f9bd76407a56abe992653da3b1c06e175b36eff6cc7525bc171006a2c"
+        "1d8f657cb45e400939d62750c86348614a26f3041b81d449f6fda0dc03390f3b"
     ),
     ("rate", "--config", "configs/fused_silica_516nm.cfg", "--qpm-order", "1"): (
-        "d0cdcce58934e36ae363b9969d97df8ba2404f4c304551db37e87b74a88d56d9"
+        "55baf8f611dca21d996bbc3c8bd0cd99d410a6845662377464a8171d83e01a66"
     ),
     ("sweep", "--config", "configs/fig1_516nm.cfg", "--sigma-p-min", "1e-7", "--sigma-p-max", "1e-1", "--points", "200"): (
         "8a8f7257688eec0994bf6cb4ce63bfacaf7cd32524a7155b07e9333ccfae01d0"
@@ -464,6 +464,22 @@ def test_simulate_from_config(capsys):
     rep = EntanglementReport.from_json(out)
     # strong pump correlation: fitted state stretches along the symmetric axis
     assert rep.inputs["sigma_u"] > rep.inputs["sigma_v"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--config", str(FUSED)],
+        ["rate", "--config", str(FUSED), "--qpm-order", "3"],
+        ["validate", "--dim", "2", "--trials", "50", "--seed", "1"],
+        ["validate", "--dim", "4", "--trials", "50", "--seed", "1"],
+    ],
+)
+def test_rate_and_validate_json_round_trips(capsys, argv):
+    # the report's writer, shared: a parse and a re-serialization give the same bytes
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json_dumps(json.loads(out)) + "\n" == out
 
 
 def test_validate_subcommand(capsys):

@@ -248,7 +248,7 @@ def test_histogram_of_fine_bins_counts_occupied_bins_over_the_span():
 
 def test_histogram_of_refuses_spans_past_int64():
     # the int64 bin index would wrap: 2**-63 gave m = 2**62 + 1, 1e-19 gave 5e18 + 1, 1e-300 a
-    # bincount error; a NaN or inf value makes the span NaN or inf
+    # bincount error
     values = np.array([0.0, 0.5, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -256,9 +256,16 @@ def test_histogram_of_refuses_spans_past_int64():
         for width in (2.0**-63, 1e-19, 1e-300):
             with pytest.raises(ValueError, match=f"bin width {width!r} gives"):
                 Histogram1D.of(values, width)
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="not < 2\\*\\*63"):
-                Histogram1D.of(np.array([0.0, bad, 1.0]), 0.1)
+
+
+@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+def test_histogram_of_refuses_non_finite_values(bad):
+    # checked before the span: a -inf origin would make the subtraction warn, and an inf or
+    # NaN span would raise the width's error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"values span \[.*\]; a histogram needs finite values"):
+            Histogram1D.of(np.array([0.0, bad, 1.0]), 0.5)
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])

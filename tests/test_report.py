@@ -11,6 +11,8 @@ from triphoton.states import TripleGaussianState
 from triphoton.witness import analytic_report
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# integral floats, which a writer that drops the ".0" would parse back as ints
+_FLOATS = _FINITE | st.integers(-(2**53), 2**53).map(float)
 
 
 def _report(**overrides):
@@ -33,11 +35,11 @@ def test_round_trip_is_lossless_and_stable():
 
 
 @given(
-    inputs=st.dictionaries(st.text(), _FINITE | st.integers() | st.text() | st.none(), max_size=5),
-    witness=_FINITE,
-    entropy_x=_FINITE,
-    entropy_k=_FINITE,
-    exact=st.none() | _FINITE,
+    inputs=st.dictionaries(st.text(), _FLOATS | st.integers() | st.text() | st.none(), max_size=5),
+    witness=_FLOATS,
+    entropy_x=_FLOATS,
+    entropy_k=_FLOATS,
+    exact=st.none() | _FLOATS,
 )
 def test_round_trip_property(inputs, witness, entropy_x, entropy_k, exact):
     rep = EntanglementReport(
@@ -50,6 +52,10 @@ def test_round_trip_property(inputs, witness, entropy_x, entropy_k, exact):
     back = EntanglementReport.from_json(rep.to_json())
     assert back == rep
     assert back.to_json() == rep.to_json()
+    # == holds between 10 and 10.0, so compare every value's type as well
+    for name, value in rep.to_dict().items():
+        assert type(getattr(back, name)) is type(value), name
+    assert [type(v) for v in back.inputs.values()] == [type(v) for v in inputs.values()]
 
 
 def test_signed_zeros_survive_a_parse_byte_for_byte():
@@ -77,7 +83,23 @@ def test_from_dict_takes_exactly_the_report_fields():
 
 
 def test_floats_serialized_at_full_precision():
-    assert "0.33333333333333331" in _report().to_json()
+    # repr: the shortest spelling that parses back to the same float
+    text = _report().to_json()
+    assert '"witness_gebits": 0.3333333333333333,' in text
+    assert json.loads(text)["witness_gebits"] == 1.0 / 3.0
+
+
+def test_integral_floats_parse_back_as_floats():
+    rep = _report(
+        inputs={"sigma_u": 10.0, "box_halfwidth_x": 600.0, "seed": 3},
+        witness_gebits=2.0,
+        exact_e3f_gebits=3.0,
+    )
+    text = rep.to_json()
+    assert '"sigma_u": 10.0,' in text and '"witness_gebits": 2.0,' in text
+    back = EntanglementReport.from_json(text)
+    assert [type(v) for v in back.inputs.values()] == [float, float, int]
+    assert type(back.witness_gebits) is type(back.exact_e3f_gebits) is type(back.certified_gebits) is float
 
 
 def test_certified_value_is_derived():

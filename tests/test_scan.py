@@ -532,7 +532,7 @@ def test_report_bytes_pin_the_decode_axis_order():
         TripleGaussianState(20.0, 1.0, 1.0), _ROUGH_COEFFICIENTS, n_samples=20_000, max_depth=10, threshold=8, seed=3
     )
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == "58caf74e823d7e2b8d5729934f7337452326046870605cf43fe1927d58203649"
+    assert digest == "17e597541eb81d2c6cb1d8e1d6407707923af48d6e830909a3359ecbcf27fd26"
 
 
 class _OfSpy:
