@@ -21,7 +21,6 @@ from .states import (
     SampleSet,
     TripleGaussianState,
     UnsupportedStateError,
-    birth_zone,
     exact_e3f,
     mancini_bound,
     pair_statistics,
@@ -37,7 +36,6 @@ from .spdc import (
     SpdcConfig,
     closed_form_witness,
     gaussian_fit_widths,
-    index_modulation_penalty,
     joint_spectral_amplitude,
     load_config,
     phase_match_geometry,

@@ -32,6 +32,7 @@ counts per leaf.
 from __future__ import annotations
 
 import contextvars
+import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -310,6 +311,10 @@ def _checked_threshold(n_samples: int, threshold: int | None, max_depth: int) ->
     return int(threshold)
 
 
+def _box_halfwidth(src: TripleGaussianState) -> float:
+    return _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)
+
+
 def _scan_tree(
     s: TripleGaussianState,
     basis: str,
@@ -327,7 +332,7 @@ def _scan_tree(
     """
     src = s if basis == "position" else to_momentum(s)
     rng = np.random.default_rng(seed)
-    box = _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)
+    box = _box_halfwidth(src)
     n_kept = 0
     for start, stop in chunk_bounds(n_samples):
         n_kept += _cell_codes(_draw(src, stop - start, rng), box, max_depth, out[n_kept:]).size
@@ -431,6 +436,11 @@ def scan_pair(
     of simulate_adaptive_scan on the same streams.
     """
     threshold = _checked_threshold(n_samples, threshold, max_depth)
+    # the box's projected span bounds every coordinate, cell side and bin width of the scan
+    for basis, src, cvec in zip(_BASES, (s, to_momentum(s)), (coeffs.eta, coeffs.beta)):
+        if not math.isfinite(sum(map(abs, cvec)) * 2.0 * _box_halfwidth(src)):
+            raise ValueError(f"the {basis} scan box of sigma_u = {s.sigma_u!r}, sigma_v = "
+                             f"{s.sigma_v!r}, sigma_w = {s.sigma_w!r} leaves the float range")
     ss_x, ss_k = np.random.SeedSequence(seed).spawn(2)
     # both code buffers come from this thread's heap, where the memory they
     # leave is reused by later work here; a worker thread's heap keeps it

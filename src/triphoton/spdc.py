@@ -251,7 +251,7 @@ def triplet_rate(c: SpdcConfig) -> float:
           * chi3_eff^2 omega_p0^3 / |kappa0|
           * P L_z / sigma_p^4
     with omega_p0 = 2 pi c / lambda_p.  Quasi-phase-matching penalties are
-    not applied here; combine with qpm_penalty / index_modulation_penalty.
+    not applied here; combine with qpm_penalty.
     """
     omega_p0 = 2.0 * math.pi * C_LIGHT / c.lambda_p
     prefactor = HBAR / (2592.0 * math.sqrt(3.0) * math.pi**2 * EPS0**2 * C_LIGHT**4)
@@ -285,22 +285,6 @@ def qpm_penalty(order: int) -> float:
     if order % 1 != 0 or not 1 <= order <= _MAX_QPM_ORDER:
         raise ValueError(f"qpm order must be a positive integer up to 2**53, got {order!r}")
     return float(4.0 / (math.pi**2 * order**2))
-
-
-def index_modulation_penalty(delta_n: float, chi3_sensitivity: float) -> float:
-    """Rate penalty for chi3 modulation driven by an index contrast delta_n.
-
-    The fractional chi3 swing is m = chi3_sensitivity * delta_n; keeping only
-    the phase-matched Fourier component of a square modulation leaves the
-    fraction (m/2)^2 * 4/pi^2 of the unmodulated rate.  For delta_n = 0.01
-    and sensitivity 17 (silica-like) this is ~0.0029, i.e. about -25 dB.
-    """
-    if delta_n < 0.0 or not np.isfinite(delta_n):
-        raise ValueError(f"delta_n must be >= 0, got {delta_n!r}")
-    if chi3_sensitivity < 0.0 or not np.isfinite(chi3_sensitivity):
-        raise ValueError(f"chi3_sensitivity must be >= 0, got {chi3_sensitivity!r}")
-    m = chi3_sensitivity * delta_n
-    return float((m / 2.0) ** 2 * 4.0 / math.pi**2)
 
 
 def joint_spectral_amplitude(

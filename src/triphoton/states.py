@@ -216,20 +216,10 @@ def mancini_bound(s: TripleGaussianState) -> float:
 def to_momentum(s: TripleGaussianState) -> TripleGaussianState:
     """Fourier-dual state: each width maps to 1/(2*width).  Involutive."""
     return TripleGaussianState(
-        sigma_u=1.0 / (2.0 * s.sigma_u),
-        sigma_v=1.0 / (2.0 * s.sigma_v),
-        sigma_w=1.0 / (2.0 * s.sigma_w),
+        sigma_u=0.5 / s.sigma_u,
+        sigma_v=0.5 / s.sigma_v,
+        sigma_w=0.5 / s.sigma_w,
     )
-
-
-def birth_zone(s: TripleGaussianState) -> float:
-    """Birth-zone extent (4/3) * sd(x1 - (x2+x3)/2) = (4/3) sqrt(3/2) sigma_v.
-
-    The combination x1 - (x2+x3)/2 is -sqrt(3/2) x_v exactly, so for the
-    symmetric state this equals sqrt(4/3) * sd(x2 - x3) identically.
-    """
-    _require_symmetric(s, "birth_zone")
-    return float((4.0 / 3.0) * np.sqrt(1.5) * s.sigma_v)
 
 
 def sample_positions(s: TripleGaussianState, n: int, seed: int) -> SampleSet:

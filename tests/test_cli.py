@@ -48,14 +48,21 @@ def test_e3f_json_report(capsys):
     assert rep.witness_gebits <= rep.exact_e3f_gebits
 
 
-@pytest.mark.parametrize("sigma_u", ["1e200", "1e-200"])
+@pytest.mark.parametrize("sigma_u", ["1e200", "1e-200", "1e308"])
 def test_e3f_json_report_at_extreme_width_ratios(capsys, sigma_u):
-    # a momentum width of about 1e-200 (or 1e200) squares to 0 (or inf)
+    # a momentum width of about 1e-200 (or 1e200) squares to 0 (or inf);
+    # twice 1e308 overflows, so its dual must not be taken as 1 / (2 * sigma)
     code, out, err = _run(capsys, ["e3f", "--sigma-u", sigma_u, "--sigma-v", "1", "--json"])
     assert code == 0 and err == ""
     rep = EntanglementReport.from_json(out)
     assert math.isfinite(rep.witness_gebits)
     assert rep.witness_gebits <= rep.exact_e3f_gebits
+
+
+def test_simulate_refuses_a_scan_box_beyond_the_float_range(capsys):
+    code, out, err = _run(capsys, ["simulate", "--sigma-u", "5e307", "--sigma-v", "1", "-n", "1000"])
+    assert code == 1 and out == ""
+    assert "position scan box of sigma_u = 5e+307" in err and "leaves the float range" in err
 
 
 def test_e3f_rejects_asymmetric_transverse_widths(capsys):

@@ -421,6 +421,36 @@ def test_private_imports_across_modules_are_pinned():
     assert imports == {("scan", "states", "_draw")}
 
 
+def test_exports_that_no_module_reads_are_pinned():
+    # every public function feeds a number, or it goes: the names __init__
+    # exports that no module of the package or the benchmark reads
+    package = Path(scan.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    bench = package.parent.parent / "bench"
+    for path in {*package.glob("*.py"), *bench.glob("*.py")} - {package / "__init__.py"}:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    assert exported - read == {
+        # reference and comparison values that the tests read
+        "mutual_information", "mancini_bound", "pair_statistics", "rotate_to_uvw", "closed_form_witness",
+        # the sinc state's amplitudes, which ROADMAP item 22 decides
+        "joint_spectral_amplitude", "triphoton_momentum_amplitude",
+        # the paper's discrete witness
+        "discrete_witness",
+        # the sample path's input from an apparatus (ROADMAP items 24 and 14a)
+        "load_position_samples", "load_momentum_samples",
+        # the benchmark's tracer hooks it by string (ROADMAP item 8)
+        "simulate_adaptive_scan",
+    }
+
+
 def test_concurrent_scan_pairs_under_fast_switching():
     # four scan_pair calls at once start eight threads on fewer cores; a
     # buffer handed to both bases of a call, or state shared between calls,
@@ -959,11 +989,20 @@ def test_record_and_parameter_validation():
             {"max_depth": MAX_TREE_DEPTH + 1},
             rf"max_depth must be in \[1, {MAX_TREE_DEPTH}\], got {MAX_TREE_DEPTH + 1}",
         ),
+        # the CLI passes these widths on; each box's projected span overflows
+        (
+            {"s": TripleGaussianState(5e307, 1.0, 1.0)},
+            r"the position scan box of sigma_u = 5e\+307, sigma_v = 1\.0, sigma_w = 1\.0 leaves the float range",
+        ),
+        (
+            {"s": TripleGaussianState(1e-307, 1.0, 1.0)},
+            r"the momentum scan box of sigma_u = 1e-307, sigma_v = 1\.0, sigma_w = 1\.0 leaves the float range",
+        ),
     ],
 )
 def test_scan_pair_checks_its_sizes_before_any_thread(sizes, message):
-    # the CLI's argparse types stop these before scan_pair; its own checks
-    # must hold for API callers, and refuse before the worker starts
+    # the CLI's argparse types stop the bad sizes before scan_pair; its own
+    # checks must hold for API callers, and refuse before the worker starts
     with pytest.raises(ValueError, match=f"^{message}$"):
-        scan_pair(TripleGaussianState(2.0, 1.0, 1.0), **{"n_samples": 1000, **sizes})
+        scan_pair(**{"s": TripleGaussianState(2.0, 1.0, 1.0), "n_samples": 1000, **sizes})
     assert not [t for t in threading.enumerate() if t.name.startswith("triphoton-scan-worker")]

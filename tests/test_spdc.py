@@ -17,7 +17,6 @@ from triphoton.spdc import (
     SpdcConfig,
     closed_form_witness,
     gaussian_fit_widths,
-    index_modulation_penalty,
     joint_spectral_amplitude,
     load_config,
     phase_match_geometry,
@@ -95,17 +94,6 @@ def test_qpm_order_bound():
         assert str(exc.value) == f"qpm_order must be at most 2**53, got {big!r}"
         with pytest.raises(ValueError, match=r"^qpm order must be a positive integer up to 2\*\*53"):
             qpm_penalty(big)
-
-
-def test_index_modulation_penalty_reference():
-    pen = index_modulation_penalty(0.01, 17.0)
-    assert pen == pytest.approx(0.0029281822, abs=1e-9)
-    assert -10.0 * math.log10(pen) == pytest.approx(25.334, abs=1e-3)
-    assert index_modulation_penalty(0.0, 17.0) == 0.0
-    with pytest.raises(ValueError):
-        index_modulation_penalty(-0.1, 17.0)
-    with pytest.raises(ValueError):
-        index_modulation_penalty(0.01, -1.0)
 
 
 def test_witness_small_pump_limit():

@@ -14,7 +14,6 @@ from triphoton.states import (
     TripleGaussianState,
     UnsupportedStateError,
     _draw,
-    birth_zone,
     exact_e3f,
     exact_e3f_array,
     mancini_bound,
@@ -190,8 +189,6 @@ def test_exact_e3f_rejects_asymmetric_width():
         pair_statistics(TripleGaussianState(3.0, 1.0, 1.2))
     with pytest.raises(UnsupportedStateError):
         mancini_bound(TripleGaussianState(3.0, 1.0, 1.2))
-    with pytest.raises(UnsupportedStateError):
-        birth_zone(TripleGaussianState(3.0, 1.0, 1.2))
 
 
 def test_state_validation():
@@ -253,23 +250,6 @@ def test_momentum_dual_and_involution():
     dd = to_momentum(d)
     for got, want in ((dd.sigma_u, 3.0), (dd.sigma_v, 0.5), (dd.sigma_w, 0.8)):
         assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_birth_zone_reference_and_identity():
-    assert birth_zone(TripleGaussianState(5.0, 1.0, 1.0)) == pytest.approx(1.63299316186, abs=1e-9)
-    base = birth_zone(TripleGaussianState(3.0, 1.0, 1.0))
-    for sv in (0.25, 1.0, 7.0):
-        s = TripleGaussianState(3.0, sv, sv)
-        st = pair_statistics(s)
-        assert birth_zone(s) == pytest.approx(np.sqrt(4.0 / 3.0) * st.sd_x_diff, rel=1e-12)
-        assert birth_zone(s) == pytest.approx(sv * base, rel=1e-12)
-
-
-def test_birth_zone_matches_sampled_conditional_spread():
-    s = TripleGaussianState(4.0, 1.5, 1.5)
-    x = sample_positions(s, 1_000_000, 6).values
-    spread = np.std(x[:, 0] - 0.5 * (x[:, 1] + x[:, 2]))
-    assert (4.0 / 3.0) * spread == pytest.approx(birth_zone(s), rel=0.01)
 
 
 def test_sampling_is_deterministic_per_seed():
