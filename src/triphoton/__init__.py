@@ -32,14 +32,11 @@ from .states import (
 )
 from .spdc import (
     ConfigError,
-    PhaseMatchGeometry,
     SpdcConfig,
     closed_form_witness,
     gaussian_fit_widths,
     joint_spectral_amplitude,
     load_config,
-    phase_match_geometry,
-    pump_wavenumber,
     qpm_penalty,
     triphoton_momentum_amplitude,
     triplet_rate,

@@ -65,15 +65,20 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # name the path asked for, not the temp file
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> TripleGaussianState:

@@ -3,8 +3,9 @@ closed-form entanglement witness, and triplet generation rate.
 
 Geometry and conventions:
 
-* Pump wavenumber inside the medium k_p = 2 pi n_p / lambda_p.
-* Collinear geometry factor a = 3 L_z / (4 k_p), with L_z the medium length.
+* Pump wavenumber inside the medium k_p = 2 pi n_p / lambda_p (SpdcConfig.k_p).
+* Collinear geometry factor a = 3 L_z / (4 k_p), with L_z the medium length
+  (SpdcConfig.a).  Reading either raises ValueError if it leaves the float range.
 * The pump transverse profile has intensity standard deviation sigma_p; the
   1/e^2 beam diameter is 4 sigma_p, and the transverse momentum amplitude is
   exp(-sigma_p^2 q^2).
@@ -107,6 +108,24 @@ class SpdcConfig:
         ):
             raise ConfigError(f"qpm_period must be positive, got {self.qpm_period!r}")
 
+    @property
+    def k_p(self) -> float:
+        """Pump wavenumber in the medium, 2 pi n_p / lambda_p, rad/m."""
+        return self._in_range("k_p = 2 pi n_p / lambda_p", 2.0 * math.pi * self.n_p / self.lambda_p)
+
+    @property
+    def a(self) -> float:
+        """Collinear geometry factor 3 L_z / (4 k_p), m^2; the fit takes 32 a, so a <= max / 32."""
+        a = 3.0 * self.L_z / (4.0 * self.k_p)
+        return self._in_range("a = 3 L_z / (4 k_p)", a, "L_z", top=sys.float_info.max / 32.0)
+
+    def _in_range(self, formula: str, val: float, *extra: str, top: float = sys.float_info.max) -> float:
+        """val if 0 < val <= top, else a ValueError naming the fields it is made of."""
+        if not 0.0 < val <= top:
+            at = ", ".join(f"{name} = {getattr(self, name)!r}" for name in ("lambda_p", "n_p", *extra))
+            raise ValueError(f"{formula} leaves the float range at {at}")
+        return val
+
 
 def load_config(path: str | Path) -> SpdcConfig:
     """Parse a flat ``key = value`` file of SpdcConfig fields ('#' starts a comment)."""
@@ -139,28 +158,6 @@ def load_config(path: str | Path) -> SpdcConfig:
     return SpdcConfig(**values)
 
 
-@dataclass(frozen=True)
-class PhaseMatchGeometry:
-    """Collinear phase-matching geometry: k_p (rad/m) and a = 3 L_z/(4 k_p) (m^2)."""
-
-    k_p: float
-    a: float
-
-
-def pump_wavenumber(lambda_p: float, n_p: float) -> float:
-    """k_p = 2 pi n_p / lambda_p, rad/m."""
-    if not np.isfinite(lambda_p) or lambda_p <= 0.0:
-        raise ValueError(f"lambda_p must be positive, got {lambda_p!r}")
-    if not np.isfinite(n_p) or n_p <= 0.0:
-        raise ValueError(f"n_p must be positive, got {n_p!r}")
-    return 2.0 * math.pi * n_p / lambda_p
-
-
-def phase_match_geometry(c: SpdcConfig) -> PhaseMatchGeometry:
-    k_p = pump_wavenumber(c.lambda_p, c.n_p)
-    return PhaseMatchGeometry(k_p=k_p, a=3.0 * c.L_z / (4.0 * k_p))
-
-
 def _sinc(x):
     # sin(x)/x with sinc(0) = 1 (numpy's np.sinc is the normalized variant)
     return np.sinc(np.asarray(x) / np.pi)
@@ -172,12 +169,11 @@ def triphoton_momentum_amplitude(c: SpdcConfig, ku, kv, kw):
     ku, kv, kw are rotated transverse momenta (rad/m); broadcasting applies.
     The first zero along kv (at ku = kw = 0) sits at kv^2 = pi/a.
     """
-    geom = phase_match_geometry(c)
     ku = np.asarray(ku, dtype=float)
     kv = np.asarray(kv, dtype=float)
     kw = np.asarray(kw, dtype=float)
     pump = np.exp(-3.0 * c.sigma_p**2 * ku**2)
-    return pump * _sinc(geom.a * (4.0 * ku**2 + kv**2 + kw**2))
+    return pump * _sinc(c.a * (4.0 * ku**2 + kv**2 + kw**2))
 
 
 def _fit_widths(sigma_p, a: float) -> tuple[np.ndarray, float]:
@@ -197,7 +193,7 @@ def gaussian_fit_widths(c: SpdcConfig) -> TripleGaussianState:
     sigma_ku = 1/(2 sqrt(32a/9 + 3 sigma_p^2)), sigma_kv = sigma_kw = 3/sqrt(32a).
     Position widths are the 1/(2 sigma) duals (states.to_momentum).
     """
-    sigma_ku, sigma_kv = _fit_widths(c.sigma_p, phase_match_geometry(c).a)
+    sigma_ku, sigma_kv = _fit_widths(c.sigma_p, c.a)
     return TripleGaussianState(sigma_u=float(sigma_ku), sigma_v=sigma_kv, sigma_w=sigma_kv)
 
 
@@ -220,7 +216,7 @@ def closed_form_witness(c: SpdcConfig) -> float:
     lower bound on exact_e3f of the fitted widths; tends to the exact curve
     minus (2/ln2 - 1) as sigma_p grows.
     """
-    return float(_witness_gebits(c.sigma_p, pump_wavenumber(c.lambda_p, c.n_p), c.L_z))
+    return float(_witness_gebits(c.sigma_p, c.k_p, c.L_z))
 
 
 def witness_sweep(c: SpdcConfig, sigma_p_values) -> list[tuple[float, float, float]]:
@@ -237,9 +233,8 @@ def witness_sweep(c: SpdcConfig, sigma_p_values) -> list[tuple[float, float, flo
     valid = np.isfinite(sigma_ps) & (sigma_ps > 0.0)
     if not valid.all():  # SpdcConfig's message for the first bad value
         _check_positive("sigma_p", float(sigma_ps[np.argmin(valid)]))
-    geom = phase_match_geometry(c)
-    exact = exact_e3f_array(*_fit_widths(sigma_ps, geom.a))
-    gebits = _witness_gebits(sigma_ps, geom.k_p, c.L_z)
+    exact = exact_e3f_array(*_fit_widths(sigma_ps, c.a))
+    gebits = _witness_gebits(sigma_ps, c.k_p, c.L_z)
     return list(zip(sigma_ps.tolist(), gebits.tolist(), exact.tolist()))
 
 
@@ -255,9 +250,11 @@ def triplet_rate(c: SpdcConfig) -> float:
     """
     omega_p0 = 2.0 * math.pi * C_LIGHT / c.lambda_p
     prefactor = HBAR / (2592.0 * math.sqrt(3.0) * math.pi**2 * EPS0**2 * C_LIGHT**4)
-    index_factor = (c.ng_1 * c.ng_2 * c.ng_3 * c.ng_p) / (
-        c.n_p**2 * c.n_1**2 * c.n_2**2 * c.n_3**2
-    )
+    index_squares = c.n_p**2 * c.n_1**2 * c.n_2**2 * c.n_3**2
+    if index_squares == 0.0:  # the product underflows
+        indices = ", ".join(f"{n} = {getattr(c, n)!r}" for n in ("n_p", "n_1", "n_2", "n_3"))
+        raise OverflowError(f"triplet rate overflows the float range at {indices}")
+    index_factor = (c.ng_1 * c.ng_2 * c.ng_3 * c.ng_p) / index_squares
     numerator = (
         prefactor
         * index_factor

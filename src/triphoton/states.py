@@ -215,11 +215,11 @@ def mancini_bound(s: TripleGaussianState) -> float:
 
 def to_momentum(s: TripleGaussianState) -> TripleGaussianState:
     """Fourier-dual state: each width maps to 1/(2*width).  Involutive."""
-    return TripleGaussianState(
-        sigma_u=0.5 / s.sigma_u,
-        sigma_v=0.5 / s.sigma_v,
-        sigma_w=0.5 / s.sigma_w,
-    )
+    duals = {name: 0.5 / width for name, width in vars(s).items()}
+    for name, dual in duals.items():
+        if dual == math.inf:  # a subnormal width
+            raise ValueError(f"{name} = {getattr(s, name)!r}: its dual 0.5 / {name} leaves the float range")
+    return TripleGaussianState(**duals)
 
 
 def sample_positions(s: TripleGaussianState, n: int, seed: int) -> SampleSet:

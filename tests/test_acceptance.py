@@ -25,7 +25,6 @@ from triphoton.spdc import (
     closed_form_witness,
     gaussian_fit_widths,
     load_config,
-    pump_wavenumber,
     triplet_rate,
     witness_sweep,
 )
@@ -65,7 +64,7 @@ def _record(tag: str, ok: bool, detail: str) -> None:
 def test_criterion_1_strong_pump_offset():
     t0 = time.perf_counter()
     cfg = load_config(FIG1)
-    k_p = pump_wavenumber(cfg.lambda_p, cfg.n_p)
+    k_p = cfg.k_p
     target = 1.0 - 2.0 / math.log(2.0)
     worst = 0.0
     for sp in (4e-4, 1.3e-3, 4e-3):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -59,10 +60,55 @@ def test_e3f_json_report_at_extreme_width_ratios(capsys, sigma_u):
     assert rep.witness_gebits <= rep.exact_e3f_gebits
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["e3f", "--sigma-u", "1e-310", "--sigma-v", "1", "--json"],
+        ["e3f", "--sigma-u", "1", "--sigma-v", "1e-310", "--json"],
+        ["simulate", "--sigma-u", "1e-310", "--sigma-v", "1", "-n", "1000"],
+        ["simulate", "--sigma-u", "1", "--sigma-v", "1e-310", "-n", "1000"],
+    ],
+)
+def test_a_width_whose_dual_overflows_is_named(capsys, argv):
+    # 0.5 / 1e-310 is past the float max: the error names the width given, not inf
+    name = "sigma_u" if argv[2] == "1e-310" else "sigma_v"
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {name} = 1e-310: its dual 0.5 / {name} leaves the float range\n"
+
+
 def test_simulate_refuses_a_scan_box_beyond_the_float_range(capsys):
     code, out, err = _run(capsys, ["simulate", "--sigma-u", "5e307", "--sigma-v", "1", "-n", "1000"])
     assert code == 1 and out == ""
     assert "position scan box of sigma_u = 5e+307" in err and "leaves the float range" in err
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"lambda_p": "1", "n_p": "1e-300", "L_z": "1e300"}, "a = 3 L_z / (4 k_p) leaves the float range at"),
+        ({"lambda_p": "1e-300", "n_p": "1e10"}, "k_p = 2 pi n_p / lambda_p leaves the float range at"),
+    ],
+)
+def test_geometry_beyond_the_float_range_is_a_domain_error(capsys, tmp_path, fields, message):
+    # a = inf once gave sweep rows of nan and a zero width to simulate; k_p = inf
+    # gave a division by zero.  Each field alone is valid, so the config loads.
+    text = FIG1.read_text()
+    for key, value in fields.items():
+        text, n = re.subn(rf"(?m)^{key} .*$", f"{key} = {value}", text)
+        assert n == 1
+    cfg = tmp_path / "geometry.cfg"
+    cfg.write_text(text)
+    csv = tmp_path / "out.csv"
+    for argv in (
+        ["sweep", "--config", str(cfg), "--sigma-p-min", "1e-5", "--sigma-p-max", "1e-4", "--out", str(csv)],
+        ["simulate", "--config", str(cfg), "-n", "1000", "--out", str(tmp_path / "run")],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith(f"error: {message} lambda_p = {float(fields['lambda_p'])!r}"), argv
+        assert err.count("\n") == 1, argv
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_e3f_rejects_asymmetric_transverse_widths(capsys):
@@ -209,6 +255,19 @@ def test_rate_overflow_for_a_narrow_pump_is_a_domain_error(capsys, tmp_path):
     code, out, err = _run(capsys, ["rate", "--config", str(narrow)])
     assert code == 1 and out == ""
     assert "triplet rate overflows the float range at sigma_p = 1e-300" in err
+
+
+@pytest.mark.parametrize("index, value", [("n_p", "1e-300"), ("n_1", "1e-170")])
+def test_rate_overflow_for_tiny_indices_is_a_domain_error(capsys, tmp_path, index, value):
+    # the product of the squared indices underflows to 0; the rate divides by it
+    tiny = tmp_path / "tiny_index.cfg"
+    text, n = re.subn(rf"(?m)^{index} .*$", f"{index} = {value}", FIG1.read_text())
+    assert n == 1
+    tiny.write_text(text)
+    code, out, err = _run(capsys, ["rate", "--config", str(tiny)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: triplet rate overflows the float range at n_p = ") and err.count("\n") == 1
+    assert f"{index} = {float(value)!r}" in err
 
 
 def test_rate_reference_configuration(capsys):
@@ -545,6 +604,9 @@ def test_error_exit_codes(capsys, tmp_path):
         ],
     )
     assert code == 2 and "error:" in err
+    # the path given is named, not the temp file beside it
+    assert repr(str(tmp_path / "no_such_dir" / "x.csv")) in err and "x.csv." not in err
+    assert not (tmp_path / "no_such_dir").exists()
     # config errors: an undecodable file, an out-of-range value, a QPM order
     # beyond 2**53 from the file or from the flag
     undecodable = tmp_path / "latin1.cfg"

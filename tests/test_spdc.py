@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -19,8 +20,6 @@ from triphoton.spdc import (
     gaussian_fit_widths,
     joint_spectral_amplitude,
     load_config,
-    phase_match_geometry,
-    pump_wavenumber,
     qpm_penalty,
     triphoton_momentum_amplitude,
     triplet_rate,
@@ -58,19 +57,69 @@ def _write_cfg(tmp_path, text):
 
 
 def test_pump_wavenumber_reference():
-    assert pump_wavenumber(516.67e-9, 1.0) == pytest.approx(12160925.3628, abs=1e-3)
-    with pytest.raises(ValueError):
-        pump_wavenumber(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        pump_wavenumber(516.67e-9, 0.0)
+    cfg = replace(load_config(FIG1), lambda_p=516.67e-9, n_p=1.0)
+    assert cfg.k_p == pytest.approx(12160925.3628, abs=1e-3)
 
 
 def test_phase_match_geometry_arithmetic():
-    cfg = load_config(FIG1)
-    geo = phase_match_geometry(cfg)
-    k_p = 2.0 * math.pi * cfg.n_p / cfg.lambda_p
-    assert geo.k_p == pytest.approx(k_p, rel=1e-15)
-    assert geo.a == pytest.approx(3.0 * cfg.L_z / (4.0 * k_p), rel=1e-15)
+    for path in (FUSED, FIG1):
+        cfg = load_config(path)
+        k_p = 2.0 * math.pi * cfg.n_p / cfg.lambda_p
+        assert cfg.k_p == k_p
+        assert cfg.a == 3.0 * cfg.L_z / (4.0 * k_p)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # k_p overflows, or underflows to 0
+        (
+            {"lambda_p": 1e-300, "n_p": 1e10},
+            "k_p = 2 pi n_p / lambda_p leaves the float range at lambda_p = 1e-300, n_p = 10000000000.0",
+        ),
+        (
+            {"lambda_p": 1e300, "n_p": 1e-300},
+            "k_p = 2 pi n_p / lambda_p leaves the float range at lambda_p = 1e+300, n_p = 1e-300",
+        ),
+        # a overflows, or is finite but its 32 a in the fit is not
+        (
+            {"lambda_p": 1.0, "n_p": 1e-300, "L_z": 1e300},
+            "a = 3 L_z / (4 k_p) leaves the float range at lambda_p = 1.0, n_p = 1e-300, L_z = 1e+300",
+        ),
+        (
+            {"lambda_p": 1.0, "n_p": 1e-8, "L_z": 1e300},
+            "a = 3 L_z / (4 k_p) leaves the float range at lambda_p = 1.0, n_p = 1e-08, L_z = 1e+300",
+        ),
+    ],
+)
+def test_geometry_outside_the_float_range_is_refused_on_reading(fields, message):
+    # each field is valid, so the config loads; every reader of a refuses it,
+    # and the witness, which reads only k_p, where k_p is out of range
+    cfg = replace(load_config(FIG1), **fields)
+    readers = [
+        lambda c: c.a,
+        gaussian_fit_widths,
+        lambda c: witness_sweep(c, [1e-5]),
+        lambda c: triphoton_momentum_amplitude(c, 0.0, 0.0, 0.0),
+    ]
+    if "L_z" not in fields:
+        readers.append(closed_form_witness)
+    for read in readers:
+        with pytest.raises(ValueError) as exc:
+            read(cfg)
+        assert str(exc.value) == message
+
+
+def test_geometry_at_the_edge_of_the_float_range_gives_finite_rows():
+    # 32 a just under the float max, and a subnormal k_p
+    edge = replace(load_config(FIG1), lambda_p=1.0, n_p=1.0, L_z=1.0)
+    edge = replace(edge, L_z=0.99 * sys.float_info.max / 32.0 * 4.0 * edge.k_p / 3.0)
+    tiny = replace(load_config(FIG1), lambda_p=1e300, n_p=1e-20, L_z=1e-300)
+    assert 0.0 < tiny.k_p < sys.float_info.min
+    for cfg in (edge, tiny):
+        assert 0.0 < cfg.a <= sys.float_info.max / 32.0
+        for _, wit, exact in witness_sweep(cfg, [1e-300, 1e-5, 1e300]):
+            assert math.isfinite(wit) and math.isfinite(exact) and wit <= exact
 
 
 def test_qpm_penalty_reference():
@@ -118,22 +167,20 @@ def test_witness_closed_form_matches_entropy_assembly():
 
 def test_fit_width_arithmetic_and_ratio_relation():
     cfg = load_config(FIG1)
-    geo = phase_match_geometry(cfg)
     fit = gaussian_fit_widths(cfg)
-    want_u = 1.0 / (2.0 * math.sqrt(32.0 * geo.a / 9.0 + 3.0 * cfg.sigma_p**2))
+    want_u = 1.0 / (2.0 * math.sqrt(32.0 * cfg.a / 9.0 + 3.0 * cfg.sigma_p**2))
     assert fit.sigma_u == pytest.approx(want_u, rel=1e-15)
-    assert fit.sigma_v == pytest.approx(3.0 / math.sqrt(32.0 * geo.a), rel=1e-15)
+    assert fit.sigma_v == pytest.approx(3.0 / math.sqrt(32.0 * cfg.a), rel=1e-15)
     assert fit.sigma_v == fit.sigma_w
     pos = to_momentum(fit)
     ratio_sq = (pos.sigma_u / pos.sigma_v) ** 2
-    assert ratio_sq == pytest.approx(4.0 + 4.5 * cfg.sigma_p**2 * geo.k_p / cfg.L_z, rel=1e-12)
+    assert ratio_sq == pytest.approx(4.0 + 4.5 * cfg.sigma_p**2 * cfg.k_p / cfg.L_z, rel=1e-12)
 
 
 def test_momentum_amplitude_shape():
     cfg = load_config(FIG1)
-    geo = phase_match_geometry(cfg)
     assert triphoton_momentum_amplitude(cfg, 0.0, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-    kv_zero = math.sqrt(math.pi / geo.a)
+    kv_zero = math.sqrt(math.pi / cfg.a)
     assert abs(triphoton_momentum_amplitude(cfg, 0.0, kv_zero, 0.0)) < 1e-12
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1.0, 1.0, size=(20, 3)) * np.array([1e3, 1e4, 1e4])
@@ -218,6 +265,11 @@ def test_config_error_cases(tmp_path):
         ),
         (_VALID + "qpm_period = 0\n", "qpm_period must be positive, got 0.0"),
         (_VALID + "qpm_period = -2e-5\n", "qpm_period must be positive, got -2e-05"),
+        (
+            _VALID.replace("lambda_p = 516.67e-9", "lambda_p = -1.0"),
+            "lambda_p must be positive and finite, got -1.0",
+        ),
+        (_VALID.replace("n_p = 1.0", "n_p = 0.0"), "n_p must be positive and finite, got 0.0"),
         (
             "just a line without equals\n" + _VALID,
             "{path}:1: expected 'key = value', got 'just a line without equals'",
@@ -369,7 +421,7 @@ def test_witness_sweep_rows_equal_per_point_rows_on_every_branch():
         # too), and the fitted width ratio lies past exact_e3f's asymptotic switch
         with np.errstate(over="ignore"):
             square = grid * grid
-            corr = 18.0 * square * pump_wavenumber(cfg.lambda_p, cfg.n_p) / cfg.L_z
+            corr = 18.0 * square * cfg.k_p / cfg.L_z
         assert 1000 < np.isinf(square).sum() < np.isinf(corr).sum()
         ratios = np.array([fit.sigma_u / fit.sigma_v for fit in fits])
         assert (ratios < 1.0 / _E3F_ASYMPTOTIC_RATIO).sum() > 1000
