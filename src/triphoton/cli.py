@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
 import os
 import sys
@@ -147,6 +148,8 @@ def _cmd_rate(args, parser) -> int:
 
 def _cmd_simulate(args, parser) -> int:
     s = _state_from_args(args, parser)
+    if args.out is not None and not Path(args.out).parent.is_dir():  # here, so a bad path costs no scan
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(Path(args.out).parent))
     tree_x, tree_k, report = scan_pair(
         s,
         SPDC_COEFFICIENTS,

@@ -8,7 +8,7 @@ a parse -> serialize round trip is lossless and byte-identical run to run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 from . import __version__
@@ -49,16 +49,9 @@ class EntanglementReport:
                 f"certified_gebits {self.certified_gebits!r} != max(0, witness)"
             )
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def to_json(self) -> str:
-        return json_dumps(self.to_dict()) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EntanglementReport":
-        return cls(**d)
+        return json_dumps(vars(self)) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "EntanglementReport":
-        return cls.from_dict(json.loads(text))
+        return cls(**json.loads(text))

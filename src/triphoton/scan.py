@@ -44,11 +44,11 @@ from .report import EntanglementReport
 from .states import (
     TripleGaussianState,
     UnsupportedStateError,
-    _draw,
     chunk_bounds,
     exact_e3f,
     to_momentum,
 )
+from .states import draw as _draw  # a module global, as bench/tracing.py patches scan._draw
 from .witness import SPDC_COEFFICIENTS, WitnessCoefficients, histogram_report
 
 _BASES = ("position", "momentum")

@@ -40,6 +40,7 @@ C_LIGHT = 2.99792458e8  # m/s
 
 _LOG2_3SQRT2E = math.log2(3.0 * math.sqrt(2.0) * math.e)
 _MAX_QPM_ORDER = 2**53  # above this a float no longer holds every integer
+_RATE_FIELDS = ("n_p", "n_1", "n_2", "n_3", "ng_1", "ng_2", "ng_3", "ng_p", "chi3_eff", "lambda_p", "kappa0", "pump_power", "L_z")
 
 
 class ConfigError(ValueError):
@@ -248,22 +249,25 @@ def triplet_rate(c: SpdcConfig) -> float:
     with omega_p0 = 2 pi c / lambda_p.  Quasi-phase-matching penalties are
     not applied here; combine with qpm_penalty.
     """
-    omega_p0 = 2.0 * math.pi * C_LIGHT / c.lambda_p
     prefactor = HBAR / (2592.0 * math.sqrt(3.0) * math.pi**2 * EPS0**2 * C_LIGHT**4)
-    index_squares = c.n_p**2 * c.n_1**2 * c.n_2**2 * c.n_3**2
-    if index_squares == 0.0:  # the product underflows
-        indices = ", ".join(f"{n} = {getattr(c, n)!r}" for n in ("n_p", "n_1", "n_2", "n_3"))
-        raise OverflowError(f"triplet rate overflows the float range at {indices}")
-    index_factor = (c.ng_1 * c.ng_2 * c.ng_3 * c.ng_p) / index_squares
-    numerator = (
-        prefactor
-        * index_factor
-        * c.chi3_eff**2
-        * omega_p0**3
-        / abs(c.kappa0)
-        * c.pump_power
-        * c.L_z
-    )
+    try:  # ** raises where * gives inf, and the index product can underflow to 0
+        omega_p0 = 2.0 * math.pi * C_LIGHT / c.lambda_p
+        index_squares = c.n_p**2 * c.n_1**2 * c.n_2**2 * c.n_3**2
+        index_factor = (c.ng_1 * c.ng_2 * c.ng_3 * c.ng_p) / index_squares
+        numerator = (
+            prefactor
+            * index_factor
+            * c.chi3_eff**2
+            * omega_p0**3
+            / abs(c.kappa0)
+            * c.pump_power
+            * c.L_z
+        )
+    except (OverflowError, ZeroDivisionError):
+        numerator = math.inf
+    if not numerator < math.inf:  # inf or NaN: name every field in it, indices first
+        named = ", ".join(f"{n} = {getattr(c, n)!r}" for n in _RATE_FIELDS)
+        raise OverflowError(f"triplet rate overflows the float range at {named}")
     try:
         sigma_p4 = c.sigma_p**4
     except OverflowError:

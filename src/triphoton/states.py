@@ -207,10 +207,12 @@ def mancini_bound(s: TripleGaussianState) -> float:
     how entangled the state is, which is what the entropic witness is for.
     """
     _require_symmetric(s, "mancini_bound")
-    rr = (s.sigma_u / s.sigma_v) ** 2
-    a = -0.5 * np.log2(2.0 / (3.0 * rr) + 1.0 / 3.0)
-    b = -0.5 * np.log2(2.0 * rr / 3.0 + 1.0 / 3.0)
-    return float(max(a, b))
+    # only the larger term is computed, so the other cannot overflow or divide
+    # by 0; above a ratio of 1e100, 2/(3 rr) is below the last bit of 1/3
+    r = min(s.sigma_u / s.sigma_v, 1e100)
+    if r < 1.0:
+        return float(-0.5 * np.log2(2.0 * r**2 / 3.0 + 1.0 / 3.0))
+    return float(-0.5 * np.log2(2.0 / (3.0 * r**2) + 1.0 / 3.0))
 
 
 def to_momentum(s: TripleGaussianState) -> TripleGaussianState:
@@ -249,11 +251,12 @@ def _draw_rows(s: TripleGaussianState, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     values = np.empty((n, 3))
     for start, stop in chunk_bounds(n):
-        values[start:stop] = _draw(s, stop - start, rng)
+        values[start:stop] = draw(s, stop - start, rng)
     return values
 
 
-def _draw(s: TripleGaussianState, n: int, rng: np.random.Generator) -> np.ndarray:
+def draw(s: TripleGaussianState, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n photon-coordinate rows of s from rng's next 3n normals."""
     uvw = rng.standard_normal((n, 3))
     # column by column in place: a broadcast multiply by a (3,) array gives
     # the same products at about three times the cost per chunk

@@ -393,23 +393,19 @@ class DiscreteWitnessInput:
                 raise ValueError(f"omega {o!r} outside [1, {dim}]")
         object.__setattr__(self, "omegas", omegas)
 
-    @property
-    def d_max(self) -> int:
-        """Maximum axis cardinality."""
-        return max(self.pmf_q.shape)
-
 
 def discrete_witness(inp: DiscreteWitnessInput) -> float:
     """Discrete entropic witness, gebits.
 
-    sum_i [log2 Omega_i - H(Q_i|Q_rest) - H(R_i|R_rest)] - 2 log2 d_max.
+    sum_i [log2 Omega_i - H(Q_i|Q_rest) - H(R_i|R_rest)] - 2 log2 Dmax,
+    Dmax the largest axis size.
     """
     total = 0.0
     for i in range(3):
         total += math.log2(inp.omegas[i])
         total -= conditional_entropy(inp.pmf_q, i)
         total -= conditional_entropy(inp.pmf_r, i)
-    return float(total - 2.0 * math.log2(inp.d_max))
+    return float(total - 2.0 * math.log2(max(inp.pmf_q.shape)))
 
 
 # --- correlation relation check --------------------------------------------

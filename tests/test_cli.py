@@ -270,6 +270,30 @@ def test_rate_overflow_for_tiny_indices_is_a_domain_error(capsys, tmp_path, inde
     assert f"{index} = {float(value)!r}" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_1", "1e-160"),  # the squared indices are subnormal, not 0
+        ("ng_1", "1e308"),
+        ("lambda_p", "1e-300"),
+        ("n_1", "1e200"),  # n_1**2 raises where n_1 * n_1 gives inf
+        ("chi3_eff", "1e200"),
+        ("lambda_p", "1e-100"),
+    ],
+)
+def test_a_field_that_breaks_the_rate_is_named(capsys, tmp_path, field, value):
+    cfg = tmp_path / "broken.cfg"
+    text, n = re.subn(rf"(?m)^{field} .*$", f"{field} = {value}", FIG1.read_text())
+    assert n == 1
+    cfg.write_text(text)
+    code, out, err = _run(capsys, ["rate", "--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: triplet rate overflows the float range at n_p = ") and err.count("\n") == 1
+    assert f"{field} = {float(value)!r}" in err
+    assert "(34," not in err and "sigma_p" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_rate_reference_configuration(capsys):
     code, out, _ = _run(capsys, ["rate", "--config", str(FUSED)])
     assert code == 0
@@ -369,6 +393,23 @@ def test_simulate_failed_write_leaves_no_files(capsys, tmp_path, monkeypatch):
     assert code == 2 and "disk full" in err
     assert len(calls) == 2
     assert list(tmp_path.glob("run*")) == []
+
+
+@pytest.mark.parametrize("make_parent", [False, True], ids=["missing", "a-file"])
+def test_simulate_checks_the_out_directory_before_the_scan(capsys, tmp_path, monkeypatch, make_parent):
+    parent = tmp_path / "parent"
+    if make_parent:
+        parent.write_text("")
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_pair ran before the --out directory was checked")
+
+    monkeypatch.setattr(cli, "scan_pair", no_scan)
+    argv = ["simulate", "--sigma-u", "3", "--sigma-v", "1", "-n", "200000", "--out", str(parent / "run")]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(parent)!r}\n"
+    assert list(tmp_path.iterdir()) == ([parent] if make_parent else [])
 
 
 def test_atomic_write_removes_its_temp_file_on_a_failed_rename(capsys, tmp_path, monkeypatch):

@@ -36,7 +36,7 @@ from triphoton.scan import (
 from triphoton.states import (
     _DRAW_CHUNK,
     TripleGaussianState,
-    _draw,
+    draw,
     exact_e3f,
     pair_statistics,
     sample_momenta,
@@ -223,7 +223,7 @@ def test_chunked_scan_equals_one_shot_draw(n, basis, max_depth):
     s = TripleGaussianState(5.0, 1.0, 1.0)
     src = s if basis == "position" else to_momentum(s)
     box = _BOX_WIDTHS * max(src.sigma_u, src.sigma_v, src.sigma_w)
-    values = _draw(src, n, np.random.default_rng(8))
+    values = draw(src, n, np.random.default_rng(8))
     codes = _one_shot_codes(values, box, max_depth)
     assert np.array_equal(_cell_codes(values, box, max_depth), codes)
     want = _build_tree(codes, n, basis, box, max_depth, 4)
@@ -405,10 +405,7 @@ def test_only_scan_starts_threads():
 
 
 def test_private_imports_across_modules_are_pinned():
-    # every relative `from .mod import _name` in the package, dunders aside.
-    # scan imports states._draw because the benchmark's tracer patches
-    # scan._draw to time states.sample_s; it stays until the draw is hooked
-    # elsewhere in bench/
+    # every relative `from .mod import _name` in the package, dunders aside
     imports = set()
     for path in Path(scan.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -418,7 +415,7 @@ def test_private_imports_across_modules_are_pinned():
                     for alias in node.names
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 }
-    assert imports == {("scan", "states", "_draw")}
+    assert imports == set()
 
 
 def test_exports_that_no_module_reads_are_pinned():

@@ -13,7 +13,7 @@ from triphoton.states import (
     SampleSet,
     TripleGaussianState,
     UnsupportedStateError,
-    _draw,
+    draw,
     exact_e3f,
     exact_e3f_array,
     mancini_bound,
@@ -241,6 +241,14 @@ def test_mancini_reference_and_cap():
     assert mancini_bound(sym(123.0)) == pytest.approx(mancini_bound(sym(1 / 123.0)), abs=1e-12)
 
 
+@pytest.mark.parametrize("ratio", [1e200, 1e300, 1e-200, 1e-300])
+@pytest.mark.parametrize("wide_u", [True, False], ids=["sigma_u", "sigma_v"])
+def test_mancini_saturates_at_extreme_ratios(ratio, wide_u):
+    # the ratio set by sigma_u alone or by sigma_v = sigma_w alone
+    s = sym(ratio) if wide_u else TripleGaussianState(1.0, 1.0 / ratio, 1.0 / ratio)
+    assert abs(mancini_bound(s) - 0.5 * np.log2(3.0)) <= 1e-12
+
+
 def test_momentum_dual_and_involution():
     s = TripleGaussianState(3.0, 0.5, 0.8)
     d = to_momentum(s)
@@ -266,8 +274,8 @@ def test_chunked_sampling_equals_one_shot_draw(n):
     s = TripleGaussianState(5.0, 0.7, 0.7)
     x = sample_positions(s, n, 21).values
     k = sample_momenta(s, n, 22).values
-    assert np.array_equal(x, _draw(s, n, np.random.default_rng(21)))
-    assert np.array_equal(k, _draw(to_momentum(s), n, np.random.default_rng(22)))
+    assert np.array_equal(x, draw(s, n, np.random.default_rng(21)))
+    assert np.array_equal(k, draw(to_momentum(s), n, np.random.default_rng(22)))
 
 
 def test_sampled_rotated_widths_match_state():
